@@ -50,11 +50,11 @@ class TreeGraph:
         verts = {v for e in edges for v in e}
         if len(edges) != len(set(edges)) or len(edges) != len(verts) - 1:
             raise InvariantViolation("edge list does not describe a tree")
+        adj = self.adjacency()
         # connectivity
         if verts:
             seen = {next(iter(verts))}
             frontier = list(seen)
-            adj = self.adjacency()
             while frontier:
                 v = frontier.pop()
                 for u in adj[v]:
@@ -63,7 +63,7 @@ class TreeGraph:
                         frontier.append(u)
             if seen != verts:
                 raise InvariantViolation("tree is not connected")
-        leaves = {v for v in verts if len(self.adjacency()[v]) == 1}
+        leaves = {v for v in verts if len(adj[v]) == 1}
         if set(self.leaf_labels) != leaves:
             raise InvariantViolation("leaf_labels must cover exactly the leaves")
         if sorted(self.leaf_labels.values()) != list(range(1, self.n_leaves + 1)):
@@ -105,39 +105,45 @@ def parse_newick(text: str) -> TreeGraph:
     if not s:
         raise ParseError("empty tree string")
     pos = 0
-    next_internal = [-1]
+    next_internal = -1
     edges = []
     labels = {}
-
-    def parse_node():
-        nonlocal pos
+    # Open internal vertices with the children read so far; an explicit stack
+    # instead of recursion, so nesting depth is limited only by memory.
+    stack = []
+    while True:
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            me = next_internal[0]
-            next_internal[0] -= 1
-            children = [parse_node()]
-            while pos < len(s) and s[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-            if pos >= len(s) or s[pos] != ")":
-                raise ParseError(f"expected ')' at position {pos} of {text!r}")
-            pos += 1
-            for c in children:
-                edges.append((me, c))
-            return me
+            stack.append((next_internal, []))
+            next_internal -= 1
+            continue
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and s[pos] in "0123456789":
             pos += 1
         if start == pos:
             raise ParseError(f"expected a leaf label at position {pos} of {text!r}")
         label = int(s[start:pos])
-        if label in labels.values():
+        if label in labels:
             raise ParseError(f"duplicate leaf label {label}")
-        vertex = label
-        labels[vertex] = label
-        return vertex
-
-    root = parse_node()
+        labels[label] = label
+        node = label
+        # Attach the finished node to its parent and close every vertex that
+        # ends here; a comma means a sibling follows.
+        while stack:
+            me, children = stack[-1]
+            children.append(node)
+            if pos < len(s) and s[pos] == ",":
+                pos += 1
+                break
+            if pos >= len(s) or s[pos] != ")":
+                raise ParseError(f"expected ')' at position {pos} of {text!r}")
+            pos += 1
+            stack.pop()
+            edges.extend((me, c) for c in children)
+            node = me
+        else:
+            break
+    root = node
     if pos != len(s):
         raise ParseError(f"trailing characters at position {pos} of {text!r}")
 

@@ -33,7 +33,7 @@ class TriangleInfeasible(DomainError):
     """Side/diagonal lengths violate a triangle inequality."""
 
     def __init__(self, triple, message=None):
-        self.triple = tuple(triple)
+        self.triple = tuple(float(x) for x in triple)
         super().__init__(message or f"triangle inequality violated by {self.triple}")
 
 

@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 
 from .config import DEFAULTS
+from .contraction import contract_closed_form
 from .errors import FlowBudgetExceeded, InvariantViolation, SingularLocus
 from .matrices import adjugate, as_complex_matrix, traceless
 
@@ -76,16 +77,15 @@ class FlowTrajectory:
         return [B for _, B in self.samples]
 
     def determinants(self) -> np.ndarray:
-        return np.array([np.linalg.det(B) for _, B in self.samples])
+        return np.linalg.det(np.stack(self.matrices()))
 
     def momentum_drift(self) -> np.ndarray:
         """Max-norm deviation of the traceless right momentum from t = 0."""
-        base = traceless(self.samples[0][1].conj().T @ self.samples[0][1])
-        out = []
-        for _, B in self.samples:
-            mu = traceless(B.conj().T @ B)
-            out.append(float(np.max(np.abs(mu - base))))
-        return np.array(out)
+        Bs = np.stack(self.matrices())
+        H = Bs.conj().transpose(0, 2, 1) @ Bs
+        n = Bs.shape[-1]
+        mu = H - (np.trace(H, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+        return np.max(np.abs(mu - mu[0]), axis=(1, 2))
 
     def at(self, t: float) -> np.ndarray:
         """Cubic Hermite evaluation between accepted steps."""
@@ -124,29 +124,33 @@ def grad_re_det(A) -> np.ndarray:
     return adjugate(A).conj().T
 
 
+def _field(B: np.ndarray, m: int, grad_floor: float):
+    """Field value, Re det and adjugate at B (Re det clamped at 0 for m > 1)."""
+    adj = adjugate(B)
+    gn2 = float(np.vdot(adj, adj).real)
+    if np.sqrt(gn2) <= grad_floor:
+        raise SingularLocus("gradient of Re det vanished; vector field undefined")
+    re_det = float(np.trace(B @ adj).real) / B.shape[0]
+    V = adj.conj().T / -gn2
+    if m > 1:
+        V *= m * max(re_det, 0.0) ** (1.0 - 1.0 / m)
+    return V, re_det, adj
+
+
 def vfield(A, m: int = 1, grad_floor: float = DEFAULTS.grad_floor) -> np.ndarray:
     """Normalized downhill field: -grad/|grad|^2 times m (Re det)^(1 - 1/m).
 
     m = 1 is the unit-rate normalization with <V, grad Re det> = -1.
     """
-    M = as_complex_matrix(A)
-    g = grad_re_det(M)
-    gn2 = float(np.sum(np.abs(g) ** 2))
-    if np.sqrt(gn2) <= grad_floor:
-        raise SingularLocus("gradient of Re det vanished; vector field undefined")
-    V = -g / gn2
-    if m == 1:
-        return V
+    V, re_det, _ = _field(as_complex_matrix(A), m, grad_floor)
     if m < 1:
         raise InvariantViolation("normalization index m must be >= 1")
-    re_det = float(np.trace(M @ adjugate(M)).real) / M.shape[0]
-    if re_det < 0.0:
+    if m > 1 and re_det < 0.0:
         raise InvariantViolation("vfield with m > 1 requires Re det(A) >= 0")
-    return V * (m * re_det ** (1.0 - 1.0 / m))
+    return V
 
 
-# Dormand-Prince 4(5) tableau (FSAL pair).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 4(5) tableau (FSAL pair); row i of _DP_A weighs stages 0..i-1.
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -159,31 +163,10 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 _MIN_STEP = 1e-14
 _TAU_FLOOR = 1e-12
-
-
-def _rhs(B: np.ndarray, m: int, grad_floor: float):
-    """Field value, Re det, and adjugate at B (Re det clamped for m > 1)."""
-    adj = adjugate(B)
-    g = adj.conj().T
-    gn2 = float(np.sum(np.abs(g) ** 2))
-    if np.sqrt(gn2) <= grad_floor:
-        raise SingularLocus(
-            "gradient of Re det vanished before reaching the stop fiber")
-    re_det = float(np.trace(B @ adj).real) / B.shape[0]
-    V = -g / gn2
-    if m > 1:
-        V = V * (m * max(re_det, 0.0) ** (1.0 - 1.0 / m))
-    return V, re_det, adj
-
-
-def _snap_to_singular_fiber(B: np.ndarray) -> np.ndarray:
-    """Project onto det = 0 along the conserved quantities: U sqrt(P^2 - l_min)."""
-    W, s, Vh = np.linalg.svd(B)
-    shifted = np.sqrt(np.maximum(s * s - np.min(s) ** 2, 0.0))
-    return (W * shifted) @ Vh
 
 
 def integrate_flow(B0, cfg: FlowConfig | None = None,
@@ -217,13 +200,15 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
 
     t = 0.0
     B = B0.copy()
-    f, d, _ = _rhs(B, m, grad_floor)
-    samples = [(0.0, B0.copy())]
-    slopes = [f.copy()]
+    f, d, _ = _field(B, m, grad_floor)
+    samples = [(0.0, B)]
+    slopes = [f]
     accepted = rejected = 0
     min_h = np.inf
     tau = remaining(d)
     h = min(cfg.max_step, 0.9 * tau) if tau > 0 else 0.0
+    K = np.empty((7, B.size), dtype=complex)   # stage slopes, one row each
+    K[0] = f.ravel()
 
     while tau > _TAU_FLOOR and d > stop:
         if accepted + rejected >= cfg.max_steps:
@@ -234,22 +219,20 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
                 f"step size underflow at t = {t:.6g}, Re det = {d:.3e}")
         h = min(h, cfg.max_step, 0.9 * tau + _TAU_FLOOR)
 
-        k = [f]
         try:
             for i in range(1, 6):
-                Bi = B + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
-                fi, _, _ = _rhs(Bi, m, grad_floor)
-                k.append(fi)
+                fi, _, _ = _field(B + h * (_DP_A[i] @ K[:i]).reshape(shape), m, grad_floor)
+                K[i] = fi.ravel()
             # FSAL stage evaluates at the 5th-order solution itself
-            B5 = B + h * sum(a * ki for a, ki in zip(_DP_A[6], k))
-            f5, d5, adj5 = _rhs(B5, m, grad_floor)
-            k.append(f5)
+            B5 = B + h * (_DP_A[6] @ K[:6]).reshape(shape)
+            f5, d5, adj5 = _field(B5, m, grad_floor)
+            K[6] = f5.ravel()
         except SingularLocus:
             rejected += 1
             h *= 0.25
             continue
 
-        err = h * sum((b5 - b4) * ki for b5, b4, ki in zip(_DP_B5, _DP_B4, k))
+        err = h * (_DP_E @ K).reshape(shape)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(B), np.abs(B5))
         err_norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
         # also control the first-order determinant error: near the singular
@@ -262,8 +245,9 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
             B = B5
             f = f5
             d = d5
-            samples.append((t, B.copy()))
-            slopes.append(f.copy())
+            K[0] = K[6]
+            samples.append((t, B))
+            slopes.append(f)
             accepted += 1
             min_h = min(min_h, h)
             tau = remaining(d)
@@ -272,6 +256,6 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
 
-    terminal = _snap_to_singular_fiber(B)
+    terminal = contract_closed_form(B)
     stats = StepStats(accepted, rejected, float(min_h) if accepted else 0.0)
     return FlowTrajectory(samples, slopes, stats, terminal, cfg)

@@ -157,7 +157,14 @@ def polar_decompose(B):
 
 
 def adjugate(A) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix): A @ adjugate(A) = det(A) I."""
+    """Adjugate (transposed cofactor matrix): A @ adjugate(A) = det(A) I.
+
+    Explicit cofactors for n <= 3. For n >= 4 it comes from one SVD
+    A = W S V*: adj(A) = det(W V*) V diag(prod_{j != i} s_j) W*, with the
+    products formed from prefix and suffix products. No division occurs, so
+    the result stays accurate on and near the singular fiber (G. W. Stewart,
+    "On the adjugate matrix", Linear Algebra Appl. 283, 1998).
+    """
     M = as_complex_matrix(A)
     n = M.shape[0]
     if n == 1:
@@ -171,17 +178,11 @@ def adjugate(A) -> np.ndarray:
             [f * g - d * i, a * i - c * g, c * d - a * f],
             [d * h - e * g, b * g - a * h, a * e - b * d],
         ])
-    # Stack all (n-1)x(n-1) minors and take one batched determinant call.
-    minors = np.empty((n, n, n - 1, n - 1), dtype=complex)
-    for i in range(n):
-        rows = np.delete(np.arange(n), i)
-        sub = M[rows]
-        for j in range(n):
-            cols = np.delete(np.arange(n), j)
-            minors[i, j] = sub[:, cols]
-    cof = np.linalg.det(minors.reshape(n * n, n - 1, n - 1)).reshape(n, n)
-    signs = (-1.0) ** (np.add.outer(np.arange(n), np.arange(n)))
-    return (signs * cof).T
+    W, s, Vh = np.linalg.svd(M)
+    others = np.ones(n)
+    others[1:] = np.cumprod(s[:-1])
+    others[:-1] *= np.cumprod(s[:0:-1])[::-1]
+    return np.linalg.det(W @ Vh) * ((Vh.conj().T * others) @ W.conj().T)
 
 
 def momentum_right(B, traceless_part: bool = False) -> np.ndarray:

@@ -108,9 +108,30 @@ class TestTrees:
         assert len(t.internal_vertices()) == 2
 
     def test_parse_errors(self):
-        for bad in ["", "((1,2)", "(1,2,(3,4)))", "(1,1,2)", "(1,2,x)"]:
+        for bad in ["", "((1,2)", "(1,2,(3,4)))", "(1,1,2)", "(1,2,x)", "(1,2,\u00b2)"]:
             with pytest.raises(ParseError):
                 parse_newick(bad)
+
+    @pytest.mark.parametrize("depth", [2000, 100000])
+    def test_deep_nesting_refused_cleanly(self, depth):
+        # a unary chain leaves an unlabeled degree-1 root: not a valid tree
+        with pytest.raises(InvariantViolation):
+            parse_newick("(" * depth + "1,2" + ")" * depth)
+        with pytest.raises(ParseError):
+            parse_newick("(" * depth + "1,2" + ")" * (depth - 1))
+        with pytest.raises(ParseError):
+            parse_newick("(" * depth + "1,2" + ")" * (depth + 1))
+
+    def test_deep_binary_caterpillar_parses(self):
+        # deep but well-formed: (((1,2),3),4)... with 3000 leaves
+        n = 3000
+        text = "(1,2)"
+        for leaf in range(3, n + 1):
+            text = f"({text},{leaf})"
+        t = parse_newick(text)
+        assert t.n_leaves == n
+        assert t.is_trivalent()
+        assert len(t.edges) == 2 * n - 3
 
     def test_enumerate_counts(self):
         assert len(enumerate_trivalent_trees(3)) == 1

@@ -172,6 +172,14 @@ class TestCli:
         assert main(["polygon", "--r", "1,1,1,1", "--d", "3", "--angles", "0"]) == 1
         assert "TriangleInfeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [2000, 100000])
+    def test_deep_newick_exits_cleanly(self, depth, capsys):
+        deep = "(" * depth + "1,2" + ")" * depth
+        assert main(["tree-count", "--tree", deep, "--r", "1,1"]) == 1
+        assert "InvariantViolation" in capsys.readouterr().err
+        assert main(["tree-count", "--tree", deep + ")", "--r", "1,1"]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
     def test_show_config(self, capsys):
         assert main(["--show-config"]) == 0
         out = capsys.readouterr().out

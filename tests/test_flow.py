@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mflow.contraction import contract_closed_form
 from mflow.errors import FlowBudgetExceeded, InvariantViolation, SingularLocus
 from mflow.flow import FlowConfig, grad_re_det, integrate_flow, vfield
 from mflow.matrices import adjugate, haar_special_unitary, traceless
@@ -89,6 +90,17 @@ class TestVfield:
             v_pow = -g_pow / gn2 * (m * (det.real ** m) ** (1.0 - 1.0 / m))
             assert np.linalg.norm(v_pow - vfield(A, m=1)) < 1e-8
 
+    def test_matches_integrator_field(self):
+        # the integrator stores the field value at every accepted sample
+        rng = np.random.default_rng(71)
+        for n in (3, 4):
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            B = B / np.linalg.det(B) ** (1 / n)
+            for m in (1, 2, 3):
+                traj = integrate_flow(B, FlowConfig(m=m))
+                for (_, M), slope in zip(traj.samples, traj.slopes):
+                    assert np.array_equal(vfield(M, m=m), slope), (n, m)
+
 
 class TestIntegrateFlow:
     def test_sl2_diagonal_paper_endpoint(self):
@@ -120,6 +132,25 @@ class TestIntegrateFlow:
         B = B / np.linalg.det(B) ** (1 / 3)
         traj = integrate_flow(B)
         assert np.max(traj.momentum_drift()) < 1e-6 * np.linalg.norm(B) ** 2
+
+    def test_diagnostics_match_per_sample_loop(self):
+        rng = np.random.default_rng(73)
+        for n in (2, 3, 5):
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            traj = integrate_flow(B / np.linalg.det(B) ** (1 / n))
+            mats = traj.matrices()
+            base = traceless(mats[0].conj().T @ mats[0])
+            drift = [np.max(np.abs(traceless(M.conj().T @ M) - base)) for M in mats]
+            dets = np.array([np.linalg.det(M) for M in mats])
+            assert traj.momentum_drift().shape == traj.determinants().shape == (len(mats),)
+            scale = np.max(np.abs(mats[0].conj().T @ mats[0]))
+            assert np.max(np.abs(traj.momentum_drift() - drift)) <= 1e-14 * scale
+            assert np.all(np.abs(traj.determinants() - dets) <= 1e-14 * np.abs(dets))
+
+    def test_terminal_is_closed_form_of_last_sample(self):
+        traj = integrate_flow(np.diag([2.0, 0.5]))
+        assert np.array_equal(traj.terminal, contract_closed_form(traj.samples[-1][1]))
+        assert not np.array_equal(traj.samples[-1][1], traj.terminal)
 
     def test_singular_value_gaps_conserved(self):
         rng = np.random.default_rng(59)

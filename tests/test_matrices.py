@@ -14,6 +14,26 @@ from mflow.matrices import (
 )
 
 
+def adjugate_by_minors(A):
+    """Reference adjugate: signed (n-1)x(n-1) minors, one batched det call."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    minors = np.empty((n, n, n - 1, n - 1), dtype=complex)
+    for i in range(n):
+        sub = A[np.delete(np.arange(n), i)]
+        for j in range(n):
+            minors[i, j] = sub[:, np.delete(np.arange(n), j)]
+    cof = np.linalg.det(minors.reshape(n * n, n - 1, n - 1)).reshape(n, n)
+    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    return (signs * cof).T
+
+
+def with_singular_values(s, rng):
+    """W diag(s) V* with Haar-random unitary W and V."""
+    n = len(s)
+    return (haar_unitary(n, rng) * np.asarray(s, dtype=float)) @ haar_unitary(n, rng)
+
+
 def random_hermitian(n, rng, scale=1.0):
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (Z + Z.conj().T)
@@ -122,16 +142,53 @@ class TestAdjugate:
 
     def test_fundamental_identity_random(self):
         rng = np.random.default_rng(17)
-        for _ in range(5):
-            A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            nrm = np.linalg.norm(A)
-            resid = A @ adjugate(A) - np.linalg.det(A) * np.eye(4)
-            assert np.max(np.abs(resid)) < 1e-10 * nrm**4
+        for n in range(4, 13):
+            for _ in range(5):
+                A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                scale = np.linalg.norm(A, 2) ** n
+                for resid in (A @ adjugate(A), adjugate(A) @ A):
+                    resid = resid - np.linalg.det(A) * np.eye(n)
+                    assert np.max(np.abs(resid)) < 1e-13 * scale, n
 
     def test_singular_matrix(self):
         A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
         resid = A @ adjugate(A)
         assert np.max(np.abs(resid)) < 1e-12
+
+    @pytest.mark.parametrize("rank_drop", [0, 1, 2, 3])
+    def test_matches_minors_by_rank(self, rank_drop):
+        # rank n: invertible; rank n-1: adjugate of rank one; rank <= n-2: zero
+        rng = np.random.default_rng(23 + rank_drop)
+        for n in range(4, 13):
+            s = rng.uniform(0.5, 2.0, size=n)
+            s[n - rank_drop:] = 0.0
+            A = with_singular_values(s, rng)
+            adj, ref = adjugate(A), adjugate_by_minors(A)
+            scale = np.linalg.norm(A, 2) ** (n - 1)
+            assert np.max(np.abs(adj - ref)) < 1e-13 * scale, (n, rank_drop)
+            if rank_drop >= 1:
+                assert np.max(np.abs(A @ adj)) < 1e-13 * scale
+            if rank_drop == 1:
+                assert np.linalg.matrix_rank(adj, tol=1e-8 * scale) == 1
+            if rank_drop >= 2:
+                assert np.max(np.abs(adj)) < 1e-13 * scale
+
+    def test_repeated_singular_values(self):
+        assert np.max(np.abs(adjugate(np.eye(4)) - np.eye(4))) < 1e-15
+        rng = np.random.default_rng(29)
+        for s in ([2.0, 2.0, 0.5, 0.5], [1.5, 1.5, 4 / 9, 1.0], [1.0] * 6, [3.0, 1.0, 1.0, 1.0, 0.0]):
+            A = with_singular_values(s, rng)
+            n = len(s)
+            scale = max(s) ** (n - 1)
+            assert np.max(np.abs(adjugate(A) - adjugate_by_minors(A))) < 1e-13 * scale, s
+            resid = A @ adjugate(A) - np.linalg.det(A) * np.eye(n)
+            assert np.max(np.abs(resid)) < 1e-13 * scale * max(s), s
+
+    def test_small_n_formulas_match_minors(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 3):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            assert np.max(np.abs(adjugate(A) - adjugate_by_minors(A))) < 1e-13
 
 
 class TestMomentum:

@@ -35,6 +35,9 @@ class TestBuildPolygon:
         with pytest.raises(TriangleInfeasible) as err:
             build_polygon((1, 1, 1, 1), (3.0,), (0.0,))
         assert err.value.triple == (1.0, 1.0, 3.0)
+        assert all(type(x) is float for x in err.value.triple)
+        assert "np.float64" not in str(err.value)
+        assert "(1.0, 1.0, 3.0)" in str(err.value)
 
     def test_prescribed_data_reproduced(self):
         rng = np.random.default_rng(157)
