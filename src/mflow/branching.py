@@ -9,7 +9,7 @@ multiplicities, chains against integer patterns).
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantViolation, ParseError
 
@@ -85,14 +85,55 @@ class TreeGraph:
         return [v for v in adj if len(adj[v]) > 1]
 
     def is_trivalent(self) -> bool:
-        adj = self.adjacency()
-        return all(len(adj[v]) == 3 for v in self.internal_vertices())
+        # leaves have degree 1, so every other vertex must have degree 3
+        return all(len(nbrs) in (1, 3) for nbrs in self.adjacency().values())
 
     def vertex_of_label(self, label: int):
         for v, lab in self.leaf_labels.items():
             if lab == label:
                 return v
         raise InvariantViolation(f"no leaf labeled {label}")
+
+    @cached_property
+    def fusion_plan(self) -> tuple:
+        """Post-order fusion steps of the tree rooted at leaf 1.
+
+        Steps 0..n-2 are the leaves labeled 2..n; every plan entry (i, j) is
+        one more step, the fusion of the earlier steps i and j, and the last
+        step is the whole tree seen from leaf 1. Compiled once per tree and
+        cached on the instance; a tree that is not trivalent raises
+        InvariantViolation on every access.
+        """
+        if not self.is_trivalent():
+            raise InvariantViolation("tree must be trivalent")
+        adj = self.adjacency()
+        root = self.vertex_of_label(1)
+        plan = []
+        done = []       # step indices of the finished subtrees
+        # (parent, child, children pushed); an explicit stack instead of
+        # recursion, so depth is limited only by memory
+        stack = [(root, adj[root][0], False)]
+        while stack:
+            parent, child, expanded = stack.pop()
+            if child in self.leaf_labels:
+                done.append(self.leaf_labels[child] - 2)
+            elif expanded:
+                right = done.pop()
+                plan.append((done.pop(), right))
+                done.append(self.n_leaves - 2 + len(plan))
+            else:
+                first, second = (u for u in adj[child] if u != parent)
+                stack += [(parent, child, True), (child, second, False),
+                          (child, first, False)]
+        return tuple(plan)
+
+
+def _excerpt(s: str, pos: int, width: int = 40) -> str:
+    """At most width characters of s around pos, quoted, with '...' where
+    cut, so an error message stays short however long the input is."""
+    lo = max(0, min(pos - width // 2, len(s) - width))
+    hi = lo + width
+    return ("..." if lo else "") + repr(s[lo:hi]) + ("..." if hi < len(s) else "")
 
 
 def parse_newick(text: str) -> TreeGraph:
@@ -121,8 +162,13 @@ def parse_newick(text: str) -> TreeGraph:
         while pos < len(s) and s[pos] in "0123456789":
             pos += 1
         if start == pos:
-            raise ParseError(f"expected a leaf label at position {pos} of {text!r}")
-        label = int(s[start:pos])
+            raise ParseError(f"expected a leaf label at position {pos} in {_excerpt(s, pos)}")
+        digits = s[start:pos].lstrip("0")
+        # a valid label is at most the number of leaves, so at most len(s);
+        # refusing longer digit runs also keeps int() within its digit limit
+        if len(digits) > len(str(len(s))):
+            raise ParseError(f"leaf label too large at position {start}")
+        label = int(digits or "0")
         if label in labels:
             raise ParseError(f"duplicate leaf label {label}")
         labels[label] = label
@@ -136,7 +182,7 @@ def parse_newick(text: str) -> TreeGraph:
                 pos += 1
                 break
             if pos >= len(s) or s[pos] != ")":
-                raise ParseError(f"expected ')' at position {pos} of {text!r}")
+                raise ParseError(f"expected ')' at position {pos} in {_excerpt(s, pos)}")
             pos += 1
             stack.pop()
             edges.extend((me, c) for c in children)
@@ -145,7 +191,7 @@ def parse_newick(text: str) -> TreeGraph:
             break
     root = node
     if pos != len(s):
-        raise ParseError(f"trailing characters at position {pos} of {text!r}")
+        raise ParseError(f"trailing characters at position {pos} in {_excerpt(s, pos)}")
 
     degree: dict = {}
     for u, v in edges:
@@ -157,8 +203,10 @@ def parse_newick(text: str) -> TreeGraph:
         edges.append((nbrs[0], nbrs[1]))
 
     n = len(labels)
-    if sorted(labels.values()) != list(range(1, n + 1)):
-        raise ParseError(f"leaf labels must be 1..{n}, got {sorted(labels.values())}")
+    lo, hi = min(labels), max(labels)
+    if lo < 1 or hi > n:
+        # distinct labels in 1..n are exactly 1..n
+        raise ParseError(f"leaf labels must be 1..{n}, got {lo if lo < 1 else hi}")
     return TreeGraph(n, tuple(edges), labels)
 
 
@@ -247,7 +295,13 @@ def polygon_monoid_member(r, integral: bool = True) -> bool:
     return sum(ints) % 2 == 0
 
 
-@lru_cache(maxsize=None)
+# Far above the about 1100 distinct fusions that counting 840 weight vectors
+# on every 5- and 6-leaf tree needs, so a long-lived process stays bounded
+# without evicting anything a sweep reuses.
+_FUSE_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_FUSE_CACHE_SIZE)
 def _fuse(c1: tuple, c2: tuple) -> tuple:
     """Counts of edge values above a vertex joining subtrees with counts c1, c2."""
     out = [0] * (len(c1) + len(c2) - 1)
@@ -265,10 +319,9 @@ def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
     values and every vertex triple satisfying parity and triangle conditions.
 
     Computed by a bottom-up count of admissible subtree weightings per edge
-    value, rooted at leaf 1.
+    value, rooted at leaf 1: one pass of _fuse over the tree's fusion plan.
     """
-    if not tree.is_trivalent():
-        raise InvariantViolation("tree must be trivalent")
+    plan = tree.fusion_plan
     r = [int(v) for v in leaf_weights]
     if len(r) != tree.n_leaves:
         raise InvariantViolation(
@@ -276,19 +329,11 @@ def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
     if any(v < 0 for v in r):
         raise InvariantViolation("leaf weights must be nonnegative")
 
-    adj = tree.adjacency()
-    root = tree.vertex_of_label(1)
-
-    def vec(parent, child) -> tuple:
-        if child in tree.leaf_labels:
-            val = r[tree.leaf_labels[child] - 1]
-            return (0,) * val + (1,)
-        rest = [u for u in adj[child] if u != parent]
-        return _fuse(vec(child, rest[0]), vec(child, rest[1]))
-
-    target = r[0]
-    c = vec(root, adj[root][0])
-    return c[target] if target < len(c) else 0
+    steps = [(0,) * v + (1,) for v in r[1:]]
+    for i, j in plan:
+        steps.append(_fuse(steps[i], steps[j]))
+    c = steps[-1]
+    return c[r[0]] if r[0] < len(c) else 0
 
 
 def weighting_violations(tree: TreeGraph, weights: dict) -> list:
@@ -304,9 +349,10 @@ def weighting_violations(tree: TreeGraph, weights: dict) -> list:
     if any(val < 0 for val in w.values()):
         raise InvariantViolation("edge weights must be nonnegative")
     bad = []
-    adj = tree.adjacency()
-    for v in tree.internal_vertices():
-        triple = [w[_edge(v, u)] for u in adj[v]]
+    for v, nbrs in tree.adjacency().items():
+        if len(nbrs) == 1:
+            continue
+        triple = [w[_edge(v, u)] for u in nbrs]
         if len(triple) != 3 or not cg_admissible(*triple):
             bad.append(v)
     return bad

@@ -110,7 +110,12 @@ def _children(row):
     yield from product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)))
 
 
-@lru_cache(maxsize=None)
+# Far above the few hundred rows a GT count sweep visits, so a long-lived
+# process stays bounded without evicting anything a sweep reuses.
+_COUNT_BELOW_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_COUNT_BELOW_CACHE_SIZE)
 def _count_below(row: tuple) -> int:
     if len(row) == 1:
         return 1

@@ -1,7 +1,10 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mflow import branching
 from mflow.branching import (
     TreeGraph,
     cg_admissible,
@@ -17,6 +20,16 @@ from mflow.branching import (
 )
 from mflow.errors import InvariantViolation, ParseError
 from mflow.gelfand_tsetlin import enumerate_gt, iter_gt_patterns
+
+# Reproducible property tests: the same examples on every run, and no
+# example database written next to the tests.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+
+def caterpillar_newick(n):
+    """((((1,2),3),4)...,n): a trivalent tree of depth n - 2."""
+    return "(" * (n - 1) + "1,2)" + "".join(f",{k})" for k in range(3, n + 1))
 
 
 def brute_force_tree_count(tree, r):
@@ -41,6 +54,42 @@ def brute_force_tree_count(tree, r):
         if not weighting_violations(tree, w):
             count += 1
     return count
+
+
+def recursive_fusions(tree, r):
+    """Operand pairs of _fuse in the order of a recursive post-order count
+    rooted at leaf 1, taking each vertex's children in adjacency order."""
+    adj = tree.adjacency()
+    calls = []
+
+    def vec(parent, child):
+        if child in tree.leaf_labels:
+            return (0,) * r[tree.leaf_labels[child] - 1] + (1,)
+        first, second = (u for u in adj[child] if u != parent)
+        pair = (vec(child, first), vec(child, second))
+        calls.append(pair)
+        return branching._fuse(*pair)
+
+    root = tree.vertex_of_label(1)
+    vec(root, adj[root][0])
+    return calls
+
+
+@st.composite
+def trivalent_trees(draw, max_leaves=7):
+    """Random trivalent tree on 2..max_leaves leaves with shuffled labels
+    and edge order."""
+    n = draw(st.integers(2, max_leaves))
+    if n == 2:
+        edges = [(1, 2)]
+    else:
+        edges = [(1, -1), (2, -1), (3, -1)]
+        for k in range(4, n + 1):
+            u, v = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges += [(u, -k), (-k, v), (-k, k)]
+    edges = draw(st.permutations(edges))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return TreeGraph(n, tuple(edges), {v: labels[v - 1] for v in range(1, n + 1)})
 
 
 class TestClebschGordan:
@@ -108,9 +157,24 @@ class TestTrees:
         assert len(t.internal_vertices()) == 2
 
     def test_parse_errors(self):
-        for bad in ["", "((1,2)", "(1,2,(3,4)))", "(1,1,2)", "(1,2,x)", "(1,2,\u00b2)"]:
-            with pytest.raises(ParseError):
+        long_label = "(1,2," + "9" * 5000 + ")"          # past int()'s digit limit
+        gap = "(" + ",".join(map(str, range(2, 3001))) + ")"   # 1 missing
+        for bad in ["", "((1,2)", "(1,2,(3,4)))", "(1,1,2)", "(1,2,x)", "(1,2,\u00b2)",
+                    "(0,1,2)", long_label, gap]:
+            with pytest.raises(ParseError) as err:
                 parse_newick(bad)
+            assert len(str(err.value)) < 200
+
+    @PROPERTY
+    @given(st.text(alphabet="()0123456789,; \t-x\u00b2", max_size=60))
+    @example("(" * 3000 + "1,2" + ")" * 3001)
+    def test_parse_fuzz_raises_only_documented_errors(self, text):
+        try:
+            tree = parse_newick(text)
+        except (ParseError, InvariantViolation):
+            return
+        assert isinstance(tree, TreeGraph)
+        assert sorted(tree.leaf_labels.values()) == list(range(1, tree.n_leaves + 1))
 
     @pytest.mark.parametrize("depth", [2000, 100000])
     def test_deep_nesting_refused_cleanly(self, depth):
@@ -142,8 +206,12 @@ class TestTrees:
     def test_non_trivalent_rejected(self):
         star = TreeGraph(4, ((1, 0), (2, 0), (3, 0), (4, 0)),
                          {1: 1, 2: 2, 3: 3, 4: 4})
-        with pytest.raises(InvariantViolation):
-            tree_polytope_count(star, (1, 1, 1, 1))
+        for tree, r in [(star, (1, 1, 1, 1)),
+                        (parse_newick("(1,2,(3,4,5))"), (1, 1, 1, 1, 2))]:
+            for _ in range(3):     # a failed compile is not cached as a plan
+                with pytest.raises(InvariantViolation):
+                    tree_polytope_count(tree, r)
+            assert "fusion_plan" not in vars(tree)
 
 
 class TestTreePolytopeCount:
@@ -182,6 +250,60 @@ class TestTreePolytopeCount:
         t3 = parse_newick("(1,2,3)")
         assert tree_polytope_count(t3, (1, 1, 2)) == 1
         assert tree_polytope_count(t3, (1, 1, 1)) == 0
+        t2 = parse_newick("(1,2)")
+        assert t2.edges == ((1, 2),) and t2.fusion_plan == ()
+        assert tree_polytope_count(t2, (3, 3)) == 1
+        assert tree_polytope_count(t2, (3, 1)) == 0
+        assert tree_polytope_count(t2, (0, 0)) == 1
+
+    def test_plan_reused_across_weights(self):
+        shared = enumerate_trivalent_trees(5)
+        rs = [(1, 1, 1, 1, 2), (2, 2, 1, 1, 0), (0, 0, 0, 0, 0), (3, 2, 2, 1, 2)]
+        for r in rs + rs[::-1]:
+            fresh = enumerate_trivalent_trees(5)
+            got = [tree_polytope_count(t, r) for t in shared]
+            assert got == [tree_polytope_count(t, r) for t in fresh]
+            assert set(got) == {cg_multiplicity(r)}
+        assert all(t.fusion_plan is t.fusion_plan for t in shared)
+
+    def test_fusions_match_recursive_order(self, monkeypatch):
+        # same _fuse operands in the same order, so cache counts are unchanged
+        calls = []
+        fuse = branching._fuse
+
+        def recording(c1, c2):
+            calls.append((c1, c2))
+            return fuse(c1, c2)
+
+        trees = enumerate_trivalent_trees(6) + [parse_newick("((1,(2,3)),((4,5),6))")]
+        r = (2, 1, 3, 2, 1, 3)
+        expected = [recursive_fusions(t, r) for t in trees]
+        monkeypatch.setattr(branching, "_fuse", recording)
+        for t, want in zip(trees, expected):
+            calls.clear()
+            tree_polytope_count(t, r)
+            assert calls == want
+
+    def test_deep_caterpillar_counts(self):
+        # depth 1498: far past the interpreter's recursion limit
+        n = 1500
+        t = parse_newick(caterpillar_newick(n))
+        for value in (0, 1):
+            r = (value,) * n
+            assert tree_polytope_count(t, r) == cg_multiplicity(r)
+
+    @PROPERTY
+    @given(trivalent_trees(), st.data())
+    def test_random_trees_match_multiplicity(self, tree, data):
+        r = data.draw(st.lists(st.integers(0, 3), min_size=tree.n_leaves,
+                               max_size=tree.n_leaves))
+        count = tree_polytope_count(tree, r)
+        assert count == cg_multiplicity(r)
+        if (sum(r) + 1) ** max(tree.n_leaves - 3, 0) <= 2000:
+            assert count == brute_force_tree_count(tree, r)
+
+    def test_caches_are_bounded(self):
+        assert branching._fuse.cache_info().maxsize is not None
 
     def test_weighting_violations(self):
         t = parse_newick("((1,2),(3,4))")

@@ -178,7 +178,15 @@ class TestCli:
         assert main(["tree-count", "--tree", deep, "--r", "1,1"]) == 1
         assert "InvariantViolation" in capsys.readouterr().err
         assert main(["tree-count", "--tree", deep + ")", "--r", "1,1"]) == 2
-        assert "ParseError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ParseError" in err
+        assert len(err.encode()) < 1024
+
+    def test_deep_caterpillar_tree_count(self, capsys):
+        n = 1500
+        tree = "(" * (n - 1) + "1,2)" + "".join(f",{k})" for k in range(3, n + 1))
+        assert main(["tree-count", "--tree", tree, "--r", ",".join(["0"] * n)]) == 0
+        assert capsys.readouterr().out.split() == ["1", "cg=1", "MATCH"]
 
     def test_show_config(self, capsys):
         assert main(["--show-config"]) == 0

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from mflow import gelfand_tsetlin
 from mflow.errors import InvariantViolation, PrincipalStratumViolation
 from mflow.gelfand_tsetlin import (
     GTPattern,
@@ -120,6 +121,9 @@ class TestEnumerate:
     def test_rejects_unsorted(self):
         with pytest.raises(InvariantViolation):
             enumerate_gt((1, 2))
+
+    def test_count_cache_is_bounded(self):
+        assert gelfand_tsetlin._count_below.cache_info().maxsize is not None
 
 
 class TestWeylDim:
