@@ -141,7 +141,7 @@ def cmd_flow(args, cfg) -> int:
         serialize.save_trajectory(args.out, traj, samples=args.samples)
     stats = traj.step_stats
     print(f"steps accepted={stats.accepted} rejected={stats.rejected} "
-          f"min_step={stats.min_step:.3e}")
+          f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls}")
     print(f"terminal |det|={abs(np.linalg.det(traj.terminal)):.3e} "
           f"mu_drift={traj.momentum_drift().max():.3e}")
     return 0

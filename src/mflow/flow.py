@@ -4,8 +4,11 @@ The vector field is the negative gradient of Re(det) normalized so that
 Re(det) decreases at unit rate (index m = 1), together with the family of
 re-normalizations indexed by a positive integer m under which
 Re det(B(t)) = (Re det(B0)^(1/m) - t)^m along trajectories started on the
-real positive determinant slice. Integration runs from the start fiber down
-to the singular fiber det = 0, where the endpoint is snapped using the
+real positive determinant slice. Each m-field is a positive multiple of the
+m = 1 field, so all of them trace the same curve at different speeds: only
+the m = 1 flow is integrated, and its times are mapped for m > 1.
+Integration runs from the start fiber down to the stop fiber
+Re det = det_stop_tol, and the endpoint is snapped onto det = 0 using the
 conserved polar data.
 """
 
@@ -18,7 +21,7 @@ import numpy as np
 from .config import DEFAULTS
 from .contraction import contract_closed_form
 from .errors import FlowBudgetExceeded, InvariantViolation, SingularLocus
-from .matrices import adjugate, as_complex_matrix, traceless
+from .matrices import adjugate, as_complex_matrix
 
 __all__ = [
     "FlowConfig",
@@ -32,36 +35,48 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class FlowConfig:
+    """Normalization index m, the DP45 error tolerances, the stop fiber
+    Re det = det_stop_tol and the budget of accepted plus rejected steps."""
+
     m: int = 1
     rel_tol: float = DEFAULTS.rel_tol
     abs_tol: float = DEFAULTS.abs_tol
     det_stop_tol: float = DEFAULTS.det_stop_tol
     max_steps: int = DEFAULTS.max_steps
-    # Cap on the step size; keeps the cubic Hermite dense output well below
-    # the integrator's own accuracy.
-    max_step: float = 0.05
 
     def __post_init__(self):
         if self.m < 1:
             raise InvariantViolation("normalization index m must be >= 1")
-        if min(self.rel_tol, self.abs_tol, self.det_stop_tol, self.max_step) <= 0:
+        if min(self.rel_tol, self.abs_tol, self.det_stop_tol) <= 0:
             raise InvariantViolation("tolerances must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
 class StepStats:
+    """Step counts of one integration.
+
+    rhs_calls counts field evaluations. min_step is the smallest accepted
+    step in the trajectory's time other than the final landing step (the
+    landing step itself when it is the only one).
+    """
+
     accepted: int
     rejected: int
     min_step: float
+    rhs_calls: int
 
 
 @dataclasses.dataclass
 class FlowTrajectory:
     """Time-stamped samples of one flow line plus the snapped endpoint.
 
-    samples holds (t, B) at every accepted step starting at t = 0; slopes
-    holds dB/dt at the same points and supports cubic Hermite evaluation
-    between accepted steps.
+    samples holds (t, B) at every accepted step starting at t = 0 and slopes
+    holds dB/dt at the same points, both in the time t of the configured m.
+    The samples lie on the integral curve of the unit-rate (m = 1) field,
+    which is the one integrated: unit_times holds their unit-rate times s,
+    with s = d0 - (d0^(1/m) - t)^m for d0 = start_det, and dense[k] holds
+    the Dormand-Prince quartic continuous extension of step k as a (4, n*n)
+    array D, so that B(s_k + theta h_k) = B_k + (theta, ..., theta^4) D.
     """
 
     samples: list
@@ -69,6 +84,9 @@ class FlowTrajectory:
     step_stats: StepStats
     terminal: np.ndarray
     config: FlowConfig
+    unit_times: list
+    dense: list
+    start_det: float
 
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.samples])
@@ -88,23 +106,24 @@ class FlowTrajectory:
         return np.max(np.abs(mu - mu[0]), axis=(1, 2))
 
     def at(self, t: float) -> np.ndarray:
-        """Cubic Hermite evaluation between accepted steps."""
+        """B(t) from the quartic dense output of the step containing t.
+
+        The dense output is defined in the unit-rate time, so for m > 1 t is
+        first mapped to s = d0 - (d0^(1/m) - t)^m. Times outside the samples
+        give the first or the last sample.
+        """
         ts = self.times()
         if t <= ts[0]:
             return self.samples[0][1]
         if t >= ts[-1]:
             return self.samples[-1][1]
         k = int(np.searchsorted(ts, t, side="right") - 1)
-        t0, B0 = self.samples[k]
-        t1, B1 = self.samples[k + 1]
-        f0, f1 = self.slopes[k], self.slopes[k + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * B0 + h10 * h * f0 + h01 * B1 + h11 * h * f1
+        m, d0 = self.config.m, self.start_det
+        s = t if m == 1 else d0 - max(d0 ** (1.0 / m) - t, 0.0) ** m
+        s0, s1 = self.unit_times[k], self.unit_times[k + 1]
+        B = self.samples[k][1]
+        theta = (s - s0) / (s1 - s0)
+        return B + (theta ** _POWERS @ self.dense[k]).reshape(B.shape)
 
     def law_residuals(self) -> np.ndarray:
         """Re det(B(t)) minus the exact decay law (d0^(1/m) - t)^m."""
@@ -133,8 +152,13 @@ def _field(B: np.ndarray, m: int, grad_floor: float):
     re_det = float(np.trace(B @ adj).real) / B.shape[0]
     V = adj.conj().T / -gn2
     if m > 1:
-        V *= m * max(re_det, 0.0) ** (1.0 - 1.0 / m)
+        V = _rescale(V, re_det, m)
     return V, re_det, adj
+
+
+def _rescale(V: np.ndarray, re_det: float, m: int) -> np.ndarray:
+    """The m-field from the m = 1 field V at a point with the given Re det."""
+    return V * (m * max(re_det, 0.0) ** (1.0 - 1.0 / m))
 
 
 def vfield(A, m: int = 1, grad_floor: float = DEFAULTS.grad_floor) -> np.ndarray:
@@ -164,68 +188,88 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4
+# Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6): row j
+# weighs the 7 stages for theta^(j+1). It equals _DP_B5 at theta = 1 and its
+# derivative there is the FSAL stage, so the dense output is C^1 across steps.
+_DP_P = np.array([
+    [1, 0, 0, 0, 0, 0, 0],
+    [-8048581381 / 2820520608, 0, 131558114200 / 32700410799,
+     -1754552775 / 470086768, 127303824393 / 49829197408,
+     -282668133 / 205662961, 40617522 / 29380423],
+    [8663915743 / 2820520608, 0, -68118460800 / 10900136933,
+     14199869525 / 1410260304, -318862633887 / 49829197408,
+     2019193451 / 616988883, -110615467 / 29380423],
+    [-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423],
+])
+_POWERS = np.arange(1, 5)
 
 _MIN_STEP = 1e-14
-_TAU_FLOOR = 1e-12
 
 
 def integrate_flow(B0, cfg: FlowConfig | None = None,
                    grad_floor: float = DEFAULTS.grad_floor) -> FlowTrajectory:
     """Integrate the normalized gradient flow from B0 down to det = 0.
 
-    B0 must have real positive determinant (det = 1 for SL(n) starts). Uses
-    an embedded adaptive Dormand-Prince 4(5) step with per-entry error
-    control; the step size is additionally capped by the time remaining
-    until the decay law reaches det_stop_tol, so the integrator lands on the
-    stop fiber instead of stepping across the singular locus. The terminal
-    point is then snapped onto det = 0 using the polar data of the last
-    state.
+    B0 must have real positive determinant (det = 1 for SL(n) starts). The
+    unit-rate (m = 1) field is integrated with an embedded adaptive
+    Dormand-Prince 4(5) step under per-entry and determinant error control.
+    On that flow Re det falls at unit rate, so tau = Re det - det_stop_tol is
+    the time left to the stop fiber: every step is capped at tau, and the
+    accepted step of length tau lands on the stop fiber and is the last one.
+    Each accepted step keeps its quartic continuous extension for
+    FlowTrajectory.at. Every m-field is the m = 1 field times
+    m (Re det)^(1 - 1/m) > 0, so for m > 1 the same curve is reparametrized:
+    sample s_k gets the time t_k = d0^(1/m) - (d0 - s_k)^(1/m) and its slope
+    is rescaled. The terminal point is the closed-form contraction of the
+    last sample onto det = 0.
     """
     if cfg is None:
         cfg = FlowConfig()
     B0 = as_complex_matrix(B0)
-    d0 = complex(np.linalg.det(B0))
-    if abs(d0.imag) > 1e-9 * (1.0 + abs(d0)) or d0.real <= 0.0:
+    det0 = complex(np.linalg.det(B0))
+    if abs(det0.imag) > 1e-9 * (1.0 + abs(det0)) or det0.real <= 0.0:
         raise InvariantViolation(
-            f"flow start needs real positive determinant, got {d0:.3e}")
+            f"flow start needs real positive determinant, got {det0:.3e}")
 
-    m = cfg.m
-    stop = cfg.det_stop_tol
     shape = B0.shape
+    rhs_calls = 0
 
-    def remaining(re_det: float) -> float:
-        if re_det <= stop:
-            return 0.0
-        return re_det ** (1.0 / m) - stop ** (1.0 / m)
+    def field(B):
+        nonlocal rhs_calls
+        rhs_calls += 1
+        return _field(B, 1, grad_floor)
 
-    t = 0.0
+    s = 0.0
     B = B0.copy()
-    f, d, _ = _field(B, m, grad_floor)
-    samples = [(0.0, B)]
-    slopes = [f]
-    accepted = rejected = 0
-    min_h = np.inf
-    tau = remaining(d)
-    h = min(cfg.max_step, 0.9 * tau) if tau > 0 else 0.0
+    f, d, _ = field(B)
+    d0 = d
+    unit_times, mats, slopes, dets, dense = [s], [B], [f], [d], []
+    rejected = 0
+    tau = d - cfg.det_stop_tol
+    # a one-step landing from a start far from the stop fiber is always
+    # rejected; try the controller's largest cut of it instead
+    h = 0.2 * tau
     K = np.empty((7, B.size), dtype=complex)   # stage slopes, one row each
     K[0] = f.ravel()
 
-    while tau > _TAU_FLOOR and d > stop:
-        if accepted + rejected >= cfg.max_steps:
+    while tau > 0.0:
+        if len(dense) + rejected >= cfg.max_steps:
             raise FlowBudgetExceeded(
-                f"flow exceeded max_steps = {cfg.max_steps} at t = {t:.6g}")
+                f"flow exceeded max_steps = {cfg.max_steps} at s = {s:.6g}")
         if h < _MIN_STEP:
             raise FlowBudgetExceeded(
-                f"step size underflow at t = {t:.6g}, Re det = {d:.3e}")
-        h = min(h, cfg.max_step, 0.9 * tau + _TAU_FLOOR)
+                f"step size underflow at s = {s:.6g}, Re det = {d:.3e}")
+        h = min(h, tau)
 
         try:
             for i in range(1, 6):
-                fi, _, _ = _field(B + h * (_DP_A[i] @ K[:i]).reshape(shape), m, grad_floor)
+                fi, _, _ = field(B + h * (_DP_A[i] @ K[:i]).reshape(shape))
                 K[i] = fi.ravel()
             # FSAL stage evaluates at the 5th-order solution itself
             B5 = B + h * (_DP_A[6] @ K[:6]).reshape(shape)
-            f5, d5, adj5 = _field(B5, m, grad_floor)
+            f5, d5, adj5 = field(B5)
             K[6] = f5.ravel()
         except SingularLocus:
             rejected += 1
@@ -241,21 +285,29 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
         err_norm = max(err_norm, err_det / (cfg.abs_tol + cfg.rel_tol * abs(d5)))
 
         if err_norm <= 1.0:
-            t += h
-            B = B5
-            f = f5
-            d = d5
+            dense.append(h * (_DP_P @ K))
+            s += h
+            B, d = B5, d5
             K[0] = K[6]
-            samples.append((t, B))
-            slopes.append(f)
-            accepted += 1
-            min_h = min(min_h, h)
-            tau = remaining(d)
+            unit_times.append(s)
+            mats.append(B)
+            slopes.append(f5)
+            dets.append(d)
+            tau = 0.0 if h == tau else d - cfg.det_stop_tol
         else:
             rejected += 1
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
 
-    terminal = contract_closed_form(B)
-    stats = StepStats(accepted, rejected, float(min_h) if accepted else 0.0)
-    return FlowTrajectory(samples, slopes, stats, terminal, cfg)
+    m = cfg.m
+    if m == 1:
+        times = unit_times
+    else:
+        times = [d0 ** (1.0 / m) - max(d0 - sk, 0.0) ** (1.0 / m) for sk in unit_times]
+        slopes = [_rescale(fk, dk, m) for fk, dk in zip(slopes, dets)]
+    steps = np.diff(times)
+    interior = steps[:-1] if steps.size > 1 else steps
+    stats = StepStats(len(dense), rejected,
+                      float(interior.min()) if interior.size else 0.0, rhs_calls)
+    return FlowTrajectory(list(zip(times, mats)), slopes, stats,
+                          contract_closed_form(B), cfg, unit_times, dense, d0)

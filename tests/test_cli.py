@@ -98,6 +98,10 @@ class TestCli:
         values = dict(zip(rows[0], map(float, rows[-1])))
         assert abs(values["re_00"] - np.sqrt(3.75)) < 1e-6
         assert abs(values["re_11"]) < 1e-6
+        stats = integrate_flow(np.diag([2.0, 0.5])).step_stats
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (f"steps accepted={stats.accepted} rejected={stats.rejected} "
+                         f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls}")
 
     def test_contract_stdout(self, tmp_path, capsys):
         src = str(tmp_path / "B.json")

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import mflow
 
 from mflow.contraction import contract_closed_form
 from mflow.errors import FlowBudgetExceeded, InvariantViolation, SingularLocus
@@ -186,6 +192,90 @@ class TestIntegrateFlow:
         assert np.linalg.norm(t1.terminal - t2.terminal) < 1e-6
         assert np.linalg.norm(t1.terminal - t3.terminal) < 1e-6
 
+    def test_m_flows_share_the_unit_rate_curve(self):
+        # every m-field is a positive multiple of the m = 1 field: the same
+        # samples, reached at the mapped times t = d0^(1/m) - (d0 - s)^(1/m)
+        rng = np.random.default_rng(83)
+        B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        B = B / np.linalg.det(B) ** (1 / 4)
+        ref = integrate_flow(B)
+        s = ref.times()
+        for m in (2, 3):
+            traj = integrate_flow(B, FlowConfig(m=m))
+            assert all(np.array_equal(M, R) for M, R in zip(traj.matrices(), ref.matrices()))
+            assert traj.step_stats.accepted == ref.step_stats.accepted
+            d0 = traj.start_det
+            expected = d0 ** (1 / m) - np.maximum(d0 - s, 0.0) ** (1 / m)
+            assert np.max(np.abs(traj.times() - expected)) < 1e-15
+            for t in np.linspace(0.0, traj.times()[-1], 9):
+                s_t = d0 - (d0 ** (1 / m) - t) ** m
+                assert np.linalg.norm(traj.at(t) - ref.at(s_t)) < 1e-14
+
+    def test_dense_output_interpolates_and_is_continuous(self):
+        rng = np.random.default_rng(89)
+        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        traj = integrate_flow(B / np.linalg.det(B) ** (1 / 3))
+        ts = traj.times()
+        for k, (t, M) in enumerate(traj.samples):
+            assert np.array_equal(traj.at(t), M)
+            if k + 1 < len(ts):
+                # theta -> 1 within step k lands on sample k + 1 (the 5th-order step)
+                left = traj.at(np.nextafter(ts[k + 1], 0.0))
+                assert np.linalg.norm(left - traj.samples[k + 1][1]) < 1e-12
+                # and the quartic's slope at theta = 1 is the stored field value
+                h = 1e-6 * (ts[k + 1] - t)
+                slope = (traj.at(ts[k + 1]) - traj.at(ts[k + 1] - h)) / h
+                assert np.linalg.norm(slope - traj.slopes[k + 1]) < 1e-5 * np.linalg.norm(slope)
+
+    def test_exact_landing_on_the_stop_fiber(self):
+        rng = np.random.default_rng(97)
+        for n in (2, 3, 4, 8):
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            B = B / np.linalg.det(B) ** (1 / n)
+            traj = integrate_flow(B)
+            stop = traj.config.det_stop_tol
+            d_last = float(np.linalg.det(traj.samples[-1][1]).real)
+            # the last step ends on Re det = det_stop_tol: no tail of tiny steps
+            assert abs(d_last - stop) < 1e-9, n
+            assert abs(traj.times()[-1] - (traj.start_det - stop)) < 1e-8, n
+            steps = np.diff(traj.times())
+            assert steps[-1] > 1e-3 * np.max(steps), n
+
+    def test_step_stats(self):
+        rng = np.random.default_rng(101)
+        for m in (1, 2, 3):
+            B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            traj = integrate_flow(B / np.linalg.det(B) ** (1 / 3), FlowConfig(m=m))
+            stats = traj.step_stats
+            # one FSAL start plus six stages per attempted step
+            assert stats.rhs_calls == 1 + 6 * (stats.accepted + stats.rejected)
+            steps = np.diff(traj.times())
+            assert stats.accepted == len(steps) >= 2
+            assert stats.min_step == np.min(steps[:-1])
+
+    def test_no_step_cap_option(self):
+        with pytest.raises(TypeError):
+            FlowConfig(max_step=0.05)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_independent_ode_oracle(self, n):
+        # integrate vfield(., m) itself with scipy's DOP853, independently of
+        # the unit-rate integration and its time change
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        rng = np.random.default_rng(103 + n)
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        B = B / np.linalg.det(B) ** (1 / n)
+        for m in (1, 2, 3):
+            traj = integrate_flow(B, FlowConfig(m=m))
+            grid = np.linspace(0.0, 0.99 * traj.times()[-1], 12)
+            sol = solve_ivp(lambda t, y: vfield(y.reshape(n, n), m).ravel(),
+                            (0.0, grid[-1]), B.ravel(), method="DOP853", t_eval=grid,
+                            rtol=1e-12, atol=1e-13)
+            assert sol.success
+            for t, y in zip(grid, sol.y.T):
+                dev = np.linalg.norm(traj.at(t) - y.reshape(n, n))
+                assert dev < 1e-6, (n, m, t, dev)
+
     def test_max_steps_budget(self):
         with pytest.raises(FlowBudgetExceeded):
             integrate_flow(np.diag([2.0, 0.5]), FlowConfig(max_steps=3))
@@ -202,3 +292,14 @@ class TestIntegrateFlow:
         mu0 = traceless(B.conj().T @ B)
         mu1 = traceless(traj.terminal.conj().T @ traj.terminal)
         assert np.linalg.norm(mu0 - mu1) < 1e-6
+
+
+def test_import_loads_no_scipy():
+    # scipy's import time and memory would land on every CLI call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mflow.__file__)))
+    code = ("import sys, mflow; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ import pytest
 from mflow.errors import InvariantViolation, NotPositiveSemidefinite
 from mflow.matrices import (
     adjugate,
+    as_complex_matrix,
     eig_hermitian,
     eigenvalue_blocks,
     haar_special_unitary,
@@ -189,6 +190,48 @@ class TestAdjugate:
         for n in (2, 3):
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             assert np.max(np.abs(adjugate(A) - adjugate_by_minors(A))) < 1e-13
+
+
+    def test_3x3_cofactors_bit_equal_numpy_scalar_formula(self):
+        def numpy_scalar_cofactors(M):
+            (a, b, c), (d, e, f), (g, h, i) = M
+            return np.array([
+                [e * i - f * h, c * h - b * i, b * f - c * e],
+                [f * g - d * i, a * i - c * g, c * d - a * f],
+                [d * h - e * g, b * g - a * h, a * e - b * d],
+            ])
+
+        rng = np.random.default_rng(37)
+        for k in range(200):
+            A = (rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-6, 7, (3, 3))
+                 + 1j * rng.standard_normal((3, 3)))
+            if k % 4 == 1:
+                A = A.real + 0j
+            if k % 4 == 2:
+                A[k % 3] = 0.0
+            got, ref = adjugate(A), numpy_scalar_cofactors(A)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), k
+
+
+class TestAsComplexMatrix:
+    def test_coerces_lists_ints_and_reals(self):
+        for A in ([[1, 2], [3, 4]], np.arange(4).reshape(2, 2), np.eye(2),
+                  np.eye(2, dtype=np.float32), [[1 + 2j]]):
+            M = as_complex_matrix(A)
+            assert M.dtype == complex and np.array_equal(M, np.asarray(A))
+
+    def test_complex_input_passes_through(self):
+        A = np.eye(3, dtype=complex)
+        assert as_complex_matrix(A) is A
+
+    @pytest.mark.parametrize("A", [
+        5, [1.0, 2.0], np.ones((2, 3)), np.ones((2, 2, 2)), [[1.0, np.nan], [0.0, 1.0]],
+        [[1.0, 0.0], [np.inf, 1.0]], [[1.0, complex(0.0, -np.inf)], [0.0, 1.0]],
+        [[complex(np.nan, 0.0)]],
+    ])
+    def test_rejects_non_square_and_non_finite(self, A):
+        with pytest.raises(InvariantViolation):
+            as_complex_matrix(A)
 
 
 class TestMomentum:
