@@ -241,14 +241,24 @@ def cg_admissible(i: int, j: int, k: int) -> bool:
     return (i + j + k) % 2 == 0 and abs(i - j) <= k <= i + j
 
 
+# Largest leaf weight (irrep label) that tree_polytope_count and
+# cg_multiplicity accept. Both are dense in the weight values: a leaf of
+# weight v is a count vector of length v + 1, and the Clebsch-Gordan state a
+# dict over every reachable label, so time and memory grow polynomially with
+# the weights. At this bound a four-leaf count and its multiplicity take
+# under a second; a 10-digit weight would need gigabytes.
+MAX_WEIGHT = 1000
+
+
 def cg_multiplicity(r) -> int:
     """Multiplicity of the trivial representation in the tensor product of
-    rank-2 irreps with labels r, by iterated Clebsch-Gordan decomposition."""
+    rank-2 irreps with labels r, by iterated Clebsch-Gordan decomposition.
+    Labels must lie in 0..MAX_WEIGHT."""
     state = {0: 1}
     for ri in r:
         ri = int(ri)
-        if ri < 0:
-            raise InvariantViolation("labels must be nonnegative")
+        if not 0 <= ri <= MAX_WEIGHT:
+            raise InvariantViolation(f"labels must be in 0..{MAX_WEIGHT}")
         new: dict = {}
         for j, cnt in state.items():
             for jj in range(abs(j - ri), j + ri + 1, 2):
@@ -320,14 +330,15 @@ def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
 
     Computed by a bottom-up count of admissible subtree weightings per edge
     value, rooted at leaf 1: one pass of _fuse over the tree's fusion plan.
+    Leaf weights must lie in 0..MAX_WEIGHT.
     """
     plan = tree.fusion_plan
     r = [int(v) for v in leaf_weights]
     if len(r) != tree.n_leaves:
         raise InvariantViolation(
             f"need {tree.n_leaves} leaf weights, got {len(r)}")
-    if any(v < 0 for v in r):
-        raise InvariantViolation("leaf weights must be nonnegative")
+    if min(r) < 0 or max(r) > MAX_WEIGHT:       # a tree has at least 2 leaves
+        raise InvariantViolation(f"leaf weights must be in 0..{MAX_WEIGHT}")
 
     steps = [(0,) * v + (1,) for v in r[1:]]
     for i, j in plan:

@@ -141,7 +141,9 @@ def cmd_flow(args, cfg) -> int:
         serialize.save_trajectory(args.out, traj, samples=args.samples)
     stats = traj.step_stats
     print(f"steps accepted={stats.accepted} rejected={stats.rejected} "
-          f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls}")
+          f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls} "
+          f"err_rejects={stats.err_rejects} singular_rejects={stats.singular_rejects} "
+          f"det_rejects={stats.det_rejects}")
     print(f"terminal |det|={abs(np.linalg.det(traj.terminal)):.3e} "
           f"mu_drift={traj.momentum_drift().max():.3e}")
     return 0

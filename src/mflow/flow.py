@@ -15,6 +15,7 @@ conserved polar data.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -57,13 +58,19 @@ class StepStats:
 
     rhs_calls counts field evaluations. min_step is the smallest accepted
     step in the trajectory's time other than the final landing step (the
-    landing step itself when it is the only one).
+    landing step itself when it is the only one). rejected splits into
+    err_rejects (error norm above 1) and singular_rejects (a stage hit the
+    singular locus); det_rejects counts the err_rejects whose determinant
+    error term exceeded the entry-wise one.
     """
 
     accepted: int
     rejected: int
     min_step: float
     rhs_calls: int
+    err_rejects: int
+    singular_rejects: int
+    det_rejects: int
 
 
 @dataclasses.dataclass
@@ -147,9 +154,10 @@ def _field(B: np.ndarray, m: int, grad_floor: float):
     """Field value, Re det and adjugate at B (Re det clamped at 0 for m > 1)."""
     adj = adjugate(B)
     gn2 = float(np.vdot(adj, adj).real)
-    if np.sqrt(gn2) <= grad_floor:
+    if math.sqrt(gn2) <= grad_floor:
         raise SingularLocus("gradient of Re det vanished; vector field undefined")
-    re_det = float(np.trace(B @ adj).real) / B.shape[0]
+    # B adj(B) = det(B) I: one entry of it is one row of the Laplace expansion
+    re_det = float((B[0] @ adj[:, 0]).real)
     V = adj.conj().T / -gn2
     if m > 1:
         V = _rescale(V, re_det, m)
@@ -206,6 +214,12 @@ _DP_P = np.array([
 _POWERS = np.arange(1, 5)
 
 _MIN_STEP = 1e-14
+# PI step control (Gustafsson 1991; Hairer & Wanner, Solving ODEs II, IV.2),
+# see integrate_flow. On the flow-oracle starts beta = 0.08 halves the
+# rejected steps of beta = 0; from beta = 0.12 on the accepted steps grow
+# instead (eye(4) above all), so beta stays well below that.
+_PI_BETA = 0.08
+_ERR_FLOOR = 1e-4   # floor of err_prev, so one tiny error cannot stall growth
 
 
 def integrate_flow(B0, cfg: FlowConfig | None = None,
@@ -218,7 +232,14 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
     On that flow Re det falls at unit rate, so tau = Re det - det_stop_tol is
     the time left to the stop fiber: every step is capped at tau, and the
     accepted step of length tau lands on the stop fiber and is the last one.
-    Each accepted step keeps its quartic continuous extension for
+    The step size follows a PI controller: after an attempt with error norm
+    err (accepted at err <= 1) the next step is h times
+    0.9 err^-(0.2 - 0.75 beta) err_prev^beta, clamped to [0.2, 5], where
+    err_prev is the error norm of the last accepted step (floored at 1e-4,
+    and 1 before the first) and beta = 0.08. The err_prev factor damps the grow-then-reject
+    cycle that the plain 0.9 err^-0.2 runs into near the stop fiber. An
+    attempt whose stages hit the singular locus is rejected and cut to a
+    quarter. Each accepted step keeps its quartic continuous extension for
     FlowTrajectory.at. Every m-field is the m = 1 field times
     m (Re det)^(1 - 1/m) > 0, so for m > 1 the same curve is reparametrized:
     sample s_k gets the time t_k = d0^(1/m) - (d0 - s_k)^(1/m) and its slope
@@ -246,7 +267,8 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
     f, d, _ = field(B)
     d0 = d
     unit_times, mats, slopes, dets, dense = [s], [B], [f], [d], []
-    rejected = 0
+    err_rejects = singular_rejects = det_rejects = 0
+    err_prev = 1.0      # no accepted step yet: no memory term
     tau = d - cfg.det_stop_tol
     # a one-step landing from a start far from the stop fiber is always
     # rejected; try the controller's largest cut of it instead
@@ -255,7 +277,7 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
     K[0] = f.ravel()
 
     while tau > 0.0:
-        if len(dense) + rejected >= cfg.max_steps:
+        if len(dense) + err_rejects + singular_rejects >= cfg.max_steps:
             raise FlowBudgetExceeded(
                 f"flow exceeded max_steps = {cfg.max_steps} at s = {s:.6g}")
         if h < _MIN_STEP:
@@ -272,17 +294,19 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
             f5, d5, adj5 = field(B5)
             K[6] = f5.ravel()
         except SingularLocus:
-            rejected += 1
+            singular_rejects += 1
             h *= 0.25
             continue
 
         err = h * (_DP_E @ K).reshape(shape)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(B), np.abs(B5))
-        err_norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+        err_entries = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
         # also control the first-order determinant error: near the singular
         # fiber the per-entry scales no longer bound det's relative accuracy
-        err_det = abs(complex(np.trace(adj5 @ err)))
-        err_norm = max(err_norm, err_det / (cfg.abs_tol + cfg.rel_tol * abs(d5)))
+        err_det = abs(complex(np.trace(adj5 @ err))) / (cfg.abs_tol + cfg.rel_tol * abs(d5))
+        err_norm = max(err_entries, err_det)
+        factor = (0.9 * err_norm ** (0.75 * _PI_BETA - 0.2) * err_prev ** _PI_BETA
+                  if err_norm > 0 else 5.0)
 
         if err_norm <= 1.0:
             dense.append(h * (_DP_P @ K))
@@ -294,9 +318,10 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
             slopes.append(f5)
             dets.append(d)
             tau = 0.0 if h == tau else d - cfg.det_stop_tol
+            err_prev = max(err_norm, _ERR_FLOOR)
         else:
-            rejected += 1
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+            err_rejects += 1
+            det_rejects += err_det > err_entries
         h *= min(5.0, max(0.2, factor))
 
     m = cfg.m
@@ -307,7 +332,8 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
         slopes = [_rescale(fk, dk, m) for fk, dk in zip(slopes, dets)]
     steps = np.diff(times)
     interior = steps[:-1] if steps.size > 1 else steps
-    stats = StepStats(len(dense), rejected,
-                      float(interior.min()) if interior.size else 0.0, rhs_calls)
+    stats = StepStats(len(dense), err_rejects + singular_rejects,
+                      float(interior.min()) if interior.size else 0.0, rhs_calls,
+                      err_rejects, singular_rejects, det_rejects)
     return FlowTrajectory(list(zip(times, mats)), slopes, stats,
                           contract_closed_form(B), cfg, unit_times, dense, d0)

@@ -181,9 +181,16 @@ def adjugate(A) -> np.ndarray:
             [d * h - e * g, b * g - a * h, a * e - b * d],
         ], dtype=complex)
     W, s, Vh = np.linalg.svd(M)
-    others = np.ones(n)
-    others[1:] = np.cumprod(s[:-1])
-    others[:-1] *= np.cumprod(s[:0:-1])[::-1]
+    # others[i] = (s_0 ... s_{i-1}) (s_{n-1} ... s_{i+1}), each product taken
+    # left to right; Python floats are cheaper than numpy calls at this size
+    s = s.tolist()
+    others = [1.0]
+    for x in s[:-1]:
+        others.append(others[-1] * x)
+    suffix = 1.0
+    for i in range(n - 1, 0, -1):
+        suffix *= s[i]
+        others[i - 1] *= suffix
     return np.linalg.det(W @ Vh) * ((Vh.conj().T * others) @ W.conj().T)
 
 

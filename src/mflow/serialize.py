@@ -48,6 +48,9 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past int()'s digit limit, or nesting too deep
+        raise ParseError(f"{path}: unreadable JSON ({type(exc).__name__})") from exc
 
 
 def matrix_to_json(M) -> dict:
@@ -62,13 +65,17 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     try:
         n = int(obj["n"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected fields 'n' and 'entries'") from exc
-    if len(entries) != n or any(len(row) != n for row in entries):
+    try:
+        square = len(entries) == n and all(len(row) == n for row in entries)
+    except TypeError:       # entries or a row without a length
+        square = False
+    if not square:
         raise ParseError(f"{where}: entries are not an {n}x{n} array")
     try:
         M = np.array([[complex(re, im) for re, im in row] for row in entries])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: entries must be [re, im] pairs") from exc
     return M
 
@@ -89,7 +96,7 @@ def pattern_from_json(obj, where: str = "pattern") -> GTPattern:
     try:
         rows = obj["rows"]
         return GTPattern(tuple(tuple(float(v) for v in row) for row in rows))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected triangular 'rows'") from exc
 
 
@@ -117,7 +124,7 @@ def polygon_to_json(P: PolygonConfig) -> dict:
 def polygon_from_json(obj, where: str = "polygon") -> PolygonConfig:
     try:
         edges = np.array(obj["edges"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected an 'edges' list of 3-vectors") from exc
     return PolygonConfig(edges)
 

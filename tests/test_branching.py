@@ -110,6 +110,17 @@ class TestClebschGordan:
         for i, j, k in product(range(5), repeat=3):
             assert cg_multiplicity((i, j, k)) == int(cg_admissible(i, j, k))
 
+    def test_weights_bounded(self):
+        top = branching.MAX_WEIGHT
+        t = parse_newick("(1,2,3)")
+        assert cg_multiplicity((top, top, 2)) == 1
+        assert tree_polytope_count(t, (top, top, 2)) == 1
+        for r in [(top + 1, top + 1, 2), (2, 1, -1), (1, 1, 1234567890)]:
+            with pytest.raises(InvariantViolation):
+                cg_multiplicity(r)
+            with pytest.raises(InvariantViolation):
+                tree_polytope_count(t, r)
+
 
 class TestPieri:
     def test_examples(self):

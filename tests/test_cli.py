@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import mflow
 from mflow import serialize
 from mflow.cli import main
-from mflow.errors import ParseError
+from mflow.errors import DomainError, ParseError
 from mflow.flow import integrate_flow
 from mflow.gelfand_tsetlin import GTPattern, gt_pattern
 
@@ -77,6 +83,38 @@ class TestSerialize:
         assert len(rows) == 1 + 11 + 1  # header + grid + terminal
 
 
+# JSON-shaped values: what json.load can return, plus the float and integer
+# extremes that overflow float() and int()
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=4)
+                 | st.sampled_from([10 ** 400, -(10 ** 400), float("inf"), float("nan")]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "entries", "rows", "edges"]), inner, max_size=3),
+    max_leaves=24)
+_JSON_OBJECTS = _JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={"n": _JSON_VALUES, "entries": _JSON_VALUES,
+                  "rows": _JSON_VALUES, "edges": _JSON_VALUES})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_JSON_OBJECTS)
+@example({"n": 1, "entries": 5})
+@example({"n": float("inf"), "entries": []})
+@example({"n": 1, "entries": [[[10 ** 400, 0]]]})
+@example({"n": 2, "entries": [[[1, 0], [0, 0]], 7]})
+@example({"rows": [[10 ** 400]]})
+@example({"edges": [[10 ** 400, 0, 0]] * 3})
+def test_json_loader_fuzz_raises_only_documented_errors(obj):
+    for load in (serialize.matrix_from_json, serialize.pattern_from_json,
+                 serialize.polygon_from_json):
+        try:
+            load(obj)
+        except (ParseError, DomainError):
+            pass
+
+
 class TestCli:
     def test_gt_pattern_stdout(self, diag321, capsys):
         assert main(["gt-pattern", "--in", diag321]) == 0
@@ -101,7 +139,11 @@ class TestCli:
         stats = integrate_flow(np.diag([2.0, 0.5])).step_stats
         first = capsys.readouterr().out.splitlines()[0]
         assert first == (f"steps accepted={stats.accepted} rejected={stats.rejected} "
-                         f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls}")
+                         f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls} "
+                         f"err_rejects={stats.err_rejects} "
+                         f"singular_rejects={stats.singular_rejects} "
+                         f"det_rejects={stats.det_rejects}")
+        assert stats.rejected == stats.err_rejects + stats.singular_rejects
 
     def test_contract_stdout(self, tmp_path, capsys):
         src = str(tmp_path / "B.json")
@@ -185,6 +227,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ParseError" in err
         assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("argv", [
+        ["tree-count", "--tree", "(1,2,3)", "--r", "1234567890,1234567890,2"],
+        ["branch", "--cg", "1234567890,1234567890,2"],
+    ])
+    def test_huge_weight_refused_quickly(self, argv):
+        # in a child process capped at 2 GB of address space, so that without
+        # the bound the test fails with MemoryError instead of exhausting RAM
+        resource = pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mflow.__file__)))
+        code = ("import sys, time; from mflow.cli import main; t = time.perf_counter(); "
+                "rc = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(rc)")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_memory,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1, proc.stderr[-300:]
+        assert proc.stderr.startswith("InvariantViolation")
+        assert float(proc.stdout) < 1.0
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1, "entries": 5}',
+        '{"n": 1e400, "entries": [[[1, 0]]]}',
+        '{"n": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}',
+        '{"n": ' + "1" * 5000 + ', "entries": []}',
+        "[" * 100000,
+    ], ids=["entries-not-a-list", "n-overflows", "entry-overflows", "n-past-digit-limit",
+            "deep-nesting"])
+    def test_malformed_matrix_file_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["contract", "--in", str(path)]) == 2
+        assert "ParseError" in capsys.readouterr().err
 
     def test_deep_caterpillar_tree_count(self, capsys):
         n = 1500

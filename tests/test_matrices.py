@@ -212,6 +212,24 @@ class TestAdjugate:
             got, ref = adjugate(A), numpy_scalar_cofactors(A)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), k
 
+    def test_svd_products_bit_equal_cumprod_formula(self):
+        def cumprod_adjugate(M):
+            W, s, Vh = np.linalg.svd(M)
+            others = np.ones(len(s))
+            others[1:] = np.cumprod(s[:-1])
+            others[:-1] *= np.cumprod(s[:0:-1])[::-1]
+            return np.linalg.det(W @ Vh) * ((Vh.conj().T * others) @ W.conj().T)
+
+        rng = np.random.default_rng(41)
+        for n in range(4, 13):
+            for rank_drop in (0, 1, 2, n):
+                s = rng.uniform(0.5, 2.0, size=n) * 10.0 ** rng.integers(-3, 4)
+                s[n - rank_drop:] = 0.0
+                for A in (with_singular_values(s, rng),
+                          rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+                    got, ref = adjugate(A), cumprod_adjugate(A)
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (n, rank_drop)
+
 
 class TestAsComplexMatrix:
     def test_coerces_lists_ints_and_reals(self):
