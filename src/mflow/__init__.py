@@ -22,6 +22,7 @@ from .contraction import (
     contract_closed_form,
     contract_point,
     contracted_equal,
+    flow_closed_form,
     same_fiber,
     star_action,
 )

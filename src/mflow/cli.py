@@ -143,7 +143,7 @@ def cmd_flow(args, cfg) -> int:
     print(f"steps accepted={stats.accepted} rejected={stats.rejected} "
           f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls} "
           f"err_rejects={stats.err_rejects} singular_rejects={stats.singular_rejects} "
-          f"det_rejects={stats.det_rejects}")
+          f"det_rejects={stats.det_rejects} k={traj.time_exponent}")
     print(f"terminal |det|={abs(np.linalg.det(traj.terminal)):.3e} "
           f"mu_drift={traj.momentum_drift().max():.3e}")
     return 0
@@ -203,28 +203,18 @@ def cmd_tree_count(args, cfg) -> int:
 
 
 def cmd_polygon(args, cfg) -> int:
-    bends = []
     if args.scenario:
-        try:
-            with open(args.scenario) as fh:
-                sc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.scenario}: invalid JSON ({exc})") from exc
-        r = sc.get("r")
-        d = sc.get("d", [])
-        angles = sc.get("angles", [0.0] * max(0, len(r) - 3) if r else [])
-        bends = sc.get("bends", [])
-        if r is None:
-            raise ParseError(f"{args.scenario}: missing side lengths 'r'")
+        r, d, angles, bends = serialize.load_scenario(args.scenario)
     else:
         if args.r is None:
             raise ParseError("polygon needs --r or --scenario")
         r = args.r
         d = args.d if args.d is not None else []
         angles = args.angles if args.angles is not None else [0.0] * max(0, len(r) - 3)
+        bends = []
     P = build_polygon(r, d, angles)
-    for step in bends:
-        P = bend(P, step["diagonal"], float(step["theta"]))
+    for diagonal, theta in bends:
+        P = bend(P, diagonal, theta)
     T = caterpillar_triangulation(P.n)
     sides = " ".join(f"{v:.12g}" for v in P.side_lengths())
     diags = " ".join(f"{v:.12g}" for v in diagonal_lengths(P, T))

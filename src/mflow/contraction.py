@@ -1,7 +1,8 @@
 """The symplectic contraction map on matrix space and cotangent data.
 
 contract_closed_form sends B to U sqrt(B*B - l_min I) with B = U P polar,
-collapsing the flow of the determinant gradient field in one step;
+collapsing the flow of the determinant gradient field in one step, and
+flow_closed_form gives that flow's whole m = 1 curve in closed form;
 contract_point produces the normal form (w, g, blocks) of a cotangent pair,
 and same_fiber decides the underlying equivalence relation: equal momentum
 and a ratio lying in the commutator of its stabilizer. star_action is the
@@ -11,6 +12,7 @@ extra torus symmetry acting through the diagonalizer of a leading submatrix.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import (
     as_complex_matrix,
     check_hermitian,
+    check_positive_det,
     check_unitary,
     eig_hermitian,
     eigenvalue_blocks,
@@ -29,6 +32,7 @@ __all__ = [
     "BlockPartition",
     "ContractedPoint",
     "contract_closed_form",
+    "flow_closed_form",
     "contract_point",
     "same_fiber",
     "contracted_equal",
@@ -105,6 +109,48 @@ def contract_closed_form(B) -> np.ndarray:
     W, s, Vh = np.linalg.svd(M)
     shifted = np.sqrt(np.maximum(s * s - np.min(s) ** 2, 0.0))
     return (W * shifted) @ Vh
+
+
+# Newton steps of flow_closed_form: random SL(2..12) and clustered starts at
+# s from -1 to d0 (1 - 1e-15) take at most 6; the cap only ends a loop that
+# rounding keeps from meeting its step test.
+_NEWTON_ITERATIONS = 50
+
+
+def flow_closed_form(B, s: float) -> np.ndarray:
+    """Point at unit-rate time s of the m = 1 determinant flow from B, exactly.
+
+    B must have real positive determinant d0. Write B = W diag(sigma) V*.
+    The m = 1 field -adj(B)*/|adj(B)|^2 is W diag(p) V* with
+    p_i = prod_{j != i} sigma_j, so the flow keeps W and V and moves only
+    the singular values; conservation of the traceless right momentum gives
+    sigma_i(s)^2 = sigma_i^2 + lambda(s) for one scalar, and the unit-rate
+    law fixes it: prod_i (sigma_i^2 + lambda) = (d0 - s)^2. In terms of
+    g_i = sigma_i^2 - sigma_min^2 and x = sigma_min^2 + lambda > 0 that is
+    sum_i log(g_i + x) = 2 log(d0 - s), convex and increasing in log x, so
+    Newton's method on log x started at log sigma_min^2 (s = 0) falls
+    monotonically onto the root (for s < 0, the flow run backwards, its
+    first step overshoots and the rest fall). From s = d0 on x = 0, and the
+    point is contract_closed_form(B).
+    """
+    M = check_positive_det(B)
+    if not math.isfinite(s):
+        raise InvariantViolation(f"flow time must be finite, got {s!r}")
+    W, sigma, Vh = np.linalg.svd(M)
+    d0 = float(np.prod(sigma))
+    if s >= d0:
+        return contract_closed_form(M)
+    s2 = sigma * sigma
+    g = s2 - s2[-1]     # exactly 0 at the smallest value, >= 0 elsewhere
+    target = 2.0 * math.log(d0 - s)
+    y = 2.0 * math.log(sigma[-1])
+    for _ in range(_NEWTON_ITERATIONS):
+        x = math.exp(y)
+        step = (float(np.sum(np.log(g + x))) - target) / float(np.sum(x / (g + x)))
+        y -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(y)):
+            break
+    return (W * np.sqrt(g + math.exp(y))) @ Vh
 
 
 def contract_point(x: CotangentPoint,

@@ -5,11 +5,12 @@ Re(det) decreases at unit rate (index m = 1), together with the family of
 re-normalizations indexed by a positive integer m under which
 Re det(B(t)) = (Re det(B0)^(1/m) - t)^m along trajectories started on the
 real positive determinant slice. Each m-field is a positive multiple of the
-m = 1 field, so all of them trace the same curve at different speeds: only
-the m = 1 flow is integrated, and its times are mapped for m > 1.
-Integration runs from the start fiber down to the stop fiber
-Re det = det_stop_tol, and the endpoint is snapped onto det = 0 using the
-conserved polar data.
+m = 1 field, so all of them trace the same curve at different speeds: one
+flow is integrated, the k-field with k the multiplicity of the smallest
+singular value of B0 (the time in which the curve is smooth up to det = 0),
+and its times are mapped for every m. Integration runs from the start fiber
+down to the stop fiber Re det = det_stop_tol, and the endpoint is snapped
+onto det = 0 using the conserved polar data.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .config import DEFAULTS
 from .contraction import contract_closed_form
 from .errors import FlowBudgetExceeded, InvariantViolation, SingularLocus
-from .matrices import adjugate, as_complex_matrix
+from .matrices import adjugate, as_complex_matrix, check_positive_det, eigenvalue_blocks
 
 __all__ = [
     "FlowConfig",
@@ -79,11 +80,12 @@ class FlowTrajectory:
 
     samples holds (t, B) at every accepted step starting at t = 0 and slopes
     holds dB/dt at the same points, both in the time t of the configured m.
-    The samples lie on the integral curve of the unit-rate (m = 1) field,
-    which is the one integrated: unit_times holds their unit-rate times s,
-    with s = d0 - (d0^(1/m) - t)^m for d0 = start_det, and dense[k] holds
-    the Dormand-Prince quartic continuous extension of step k as a (4, n*n)
-    array D, so that B(s_k + theta h_k) = B_k + (theta, ..., theta^4) D.
+    The samples lie on the integral curve of the k-field, which is the one
+    integrated, with k = time_exponent the multiplicity of the smallest
+    singular value of B0: k_times holds their k-times t_k, with
+    t_k = d0^(1/k) - (d0^(1/m) - t)^(m/k) for d0 = start_det, and dense[j]
+    holds the Dormand-Prince quartic continuous extension of step j as a
+    (4, n*n) array D, so that B(t_k,j + theta h_j) = B_j + (theta, ..., theta^4) D.
     """
 
     samples: list
@@ -91,9 +93,10 @@ class FlowTrajectory:
     step_stats: StepStats
     terminal: np.ndarray
     config: FlowConfig
-    unit_times: list
+    k_times: list
     dense: list
     start_det: float
+    time_exponent: int
 
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.samples])
@@ -115,22 +118,22 @@ class FlowTrajectory:
     def at(self, t: float) -> np.ndarray:
         """B(t) from the quartic dense output of the step containing t.
 
-        The dense output is defined in the unit-rate time, so for m > 1 t is
-        first mapped to s = d0 - (d0^(1/m) - t)^m. Times outside the samples
-        give the first or the last sample.
+        The dense output is defined in the k-time, so for m != k t is first
+        mapped to t_k = d0^(1/k) - (d0^(1/m) - t)^(m/k). Times outside the
+        samples give the first or the last sample.
         """
         ts = self.times()
         if t <= ts[0]:
             return self.samples[0][1]
         if t >= ts[-1]:
             return self.samples[-1][1]
-        k = int(np.searchsorted(ts, t, side="right") - 1)
-        m, d0 = self.config.m, self.start_det
-        s = t if m == 1 else d0 - max(d0 ** (1.0 / m) - t, 0.0) ** m
-        s0, s1 = self.unit_times[k], self.unit_times[k + 1]
-        B = self.samples[k][1]
-        theta = (s - s0) / (s1 - s0)
-        return B + (theta ** _POWERS @ self.dense[k]).reshape(B.shape)
+        j = int(np.searchsorted(ts, t, side="right") - 1)
+        k, m, d0 = self.time_exponent, self.config.m, self.start_det
+        tk = t if m == k else d0 ** (1.0 / k) - max(d0 ** (1.0 / m) - t, 0.0) ** (m / k)
+        t0, t1 = self.k_times[j], self.k_times[j + 1]
+        B = self.samples[j][1]
+        theta = (tk - t0) / (t1 - t0)
+        return B + (theta ** _POWERS @ self.dense[j]).reshape(B.shape)
 
     def law_residuals(self) -> np.ndarray:
         """Re det(B(t)) minus the exact decay law (d0^(1/m) - t)^m."""
@@ -222,16 +225,29 @@ _PI_BETA = 0.08
 _ERR_FLOOR = 1e-4   # floor of err_prev, so one tiny error cannot stall growth
 
 
+def _time_exponent(B0: np.ndarray) -> int:
+    """Multiplicity k of the smallest singular value of B0, clustered as in
+    eigenvalue_blocks with DEFAULTS.cluster_tol."""
+    lo, hi = eigenvalue_blocks(np.linalg.svd(B0, compute_uv=False), DEFAULTS.cluster_tol)[-1]
+    return hi - lo
+
+
 def integrate_flow(B0, cfg: FlowConfig | None = None,
                    grad_floor: float = DEFAULTS.grad_floor) -> FlowTrajectory:
     """Integrate the normalized gradient flow from B0 down to det = 0.
 
     B0 must have real positive determinant (det = 1 for SL(n) starts). The
-    unit-rate (m = 1) field is integrated with an embedded adaptive
-    Dormand-Prince 4(5) step under per-entry and determinant error control.
-    On that flow Re det falls at unit rate, so tau = Re det - det_stop_tol is
-    the time left to the stop fiber: every step is capped at tau, and the
-    accepted step of length tau lands on the stop fiber and is the last one.
+    m = 1 flow moves only the singular values, sigma_i^2 = sigma_i(0)^2 +
+    lambda, so if the smallest one has multiplicity k it vanishes like
+    (Re det)^(1/k): in the unit-rate time that is a branch point at the
+    singular fiber, while in the k-field's own time t_k = d0^(1/k) -
+    (Re det)^(1/k) the curve is smooth up to det = 0. So the k-field is
+    integrated, with an embedded adaptive Dormand-Prince 4(5) step under
+    per-entry and determinant error control, and k = 1 for every start
+    whose smallest singular value is simple. Along it
+    tau = (Re det)^(1/k) - det_stop_tol^(1/k) is the time left to the stop
+    fiber: every step is capped at tau, and the accepted step of length tau
+    lands on the stop fiber and is the last one.
     The step size follows a PI controller: after an attempt with error norm
     err (accepted at err <= 1) the next step is h times
     0.9 err^-(0.2 - 0.75 beta) err_prev^beta, clamped to [0.2, 5], where
@@ -241,35 +257,37 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
     attempt whose stages hit the singular locus is rejected and cut to a
     quarter. Each accepted step keeps its quartic continuous extension for
     FlowTrajectory.at. Every m-field is the m = 1 field times
-    m (Re det)^(1 - 1/m) > 0, so for m > 1 the same curve is reparametrized:
-    sample s_k gets the time t_k = d0^(1/m) - (d0 - s_k)^(1/m) and its slope
-    is rescaled. The terminal point is the closed-form contraction of the
-    last sample onto det = 0.
+    m (Re det)^(1 - 1/m) > 0, so each m reparametrizes the same curve:
+    sample t_k gets the time t = d0^(1/m) - (d0^(1/k) - t_k)^(k/m) and its
+    slope is the m = 1 field rescaled. The terminal point is the closed-form
+    contraction of the last sample onto det = 0.
     """
     if cfg is None:
         cfg = FlowConfig()
-    B0 = as_complex_matrix(B0)
-    det0 = complex(np.linalg.det(B0))
-    if abs(det0.imag) > 1e-9 * (1.0 + abs(det0)) or det0.real <= 0.0:
-        raise InvariantViolation(
-            f"flow start needs real positive determinant, got {det0:.3e}")
-
+    B0 = check_positive_det(B0)
     shape = B0.shape
+    k = _time_exponent(B0)
     rhs_calls = 0
 
     def field(B):
+        """The m = 1 field, the k-field, Re det and the adjugate at B."""
         nonlocal rhs_calls
         rhs_calls += 1
-        return _field(B, 1, grad_floor)
+        V, d, adj = _field(B, 1, grad_floor)
+        return V, (V if k == 1 else _rescale(V, d, k)), d, adj
 
-    s = 0.0
+    def root(d):
+        return d ** (1.0 / k)
+
+    stop = root(cfg.det_stop_tol)
+    t = 0.0
     B = B0.copy()
-    f, d, _ = field(B)
+    v, f, d, _ = field(B)
     d0 = d
-    unit_times, mats, slopes, dets, dense = [s], [B], [f], [d], []
+    k_times, mats, slopes, dets, dense = [t], [B], [v], [d], []
     err_rejects = singular_rejects = det_rejects = 0
     err_prev = 1.0      # no accepted step yet: no memory term
-    tau = d - cfg.det_stop_tol
+    tau = root(d) - stop
     # a one-step landing from a start far from the stop fiber is always
     # rejected; try the controller's largest cut of it instead
     h = 0.2 * tau
@@ -279,19 +297,19 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
     while tau > 0.0:
         if len(dense) + err_rejects + singular_rejects >= cfg.max_steps:
             raise FlowBudgetExceeded(
-                f"flow exceeded max_steps = {cfg.max_steps} at s = {s:.6g}")
+                f"flow exceeded max_steps = {cfg.max_steps} at t = {t:.6g}")
         if h < _MIN_STEP:
             raise FlowBudgetExceeded(
-                f"step size underflow at s = {s:.6g}, Re det = {d:.3e}")
+                f"step size underflow at t = {t:.6g}, Re det = {d:.3e}")
         h = min(h, tau)
 
         try:
             for i in range(1, 6):
-                fi, _, _ = field(B + h * (_DP_A[i] @ K[:i]).reshape(shape))
+                _, fi, _, _ = field(B + h * (_DP_A[i] @ K[:i]).reshape(shape))
                 K[i] = fi.ravel()
             # FSAL stage evaluates at the 5th-order solution itself
             B5 = B + h * (_DP_A[6] @ K[:6]).reshape(shape)
-            f5, d5, adj5 = field(B5)
+            v5, f5, d5, adj5 = field(B5)
             K[6] = f5.ravel()
         except SingularLocus:
             singular_rejects += 1
@@ -310,14 +328,14 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
 
         if err_norm <= 1.0:
             dense.append(h * (_DP_P @ K))
-            s += h
+            t += h
             B, d = B5, d5
             K[0] = K[6]
-            unit_times.append(s)
+            k_times.append(t)
             mats.append(B)
-            slopes.append(f5)
+            slopes.append(v5)
             dets.append(d)
-            tau = 0.0 if h == tau else d - cfg.det_stop_tol
+            tau = 0.0 if h == tau else root(d) - stop
             err_prev = max(err_norm, _ERR_FLOOR)
         else:
             err_rejects += 1
@@ -325,15 +343,16 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
         h *= min(5.0, max(0.2, factor))
 
     m = cfg.m
-    if m == 1:
-        times = unit_times
+    if m == k:
+        times = k_times
     else:
-        times = [d0 ** (1.0 / m) - max(d0 - sk, 0.0) ** (1.0 / m) for sk in unit_times]
-        slopes = [_rescale(fk, dk, m) for fk, dk in zip(slopes, dets)]
+        times = [d0 ** (1.0 / m) - max(root(d0) - tk, 0.0) ** (k / m) for tk in k_times]
+    if m > 1:
+        slopes = [_rescale(vj, dj, m) for vj, dj in zip(slopes, dets)]
     steps = np.diff(times)
     interior = steps[:-1] if steps.size > 1 else steps
     stats = StepStats(len(dense), err_rejects + singular_rejects,
                       float(interior.min()) if interior.size else 0.0, rhs_calls,
                       err_rejects, singular_rejects, det_rejects)
     return FlowTrajectory(list(zip(times, mats)), slopes, stats,
-                          contract_closed_form(B), cfg, unit_times, dense, d0)
+                          contract_closed_form(B), cfg, k_times, dense, d0, k)

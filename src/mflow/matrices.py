@@ -22,6 +22,7 @@ __all__ = [
     "as_complex_matrix",
     "check_hermitian",
     "check_unitary",
+    "check_positive_det",
     "check_spectrum",
     "eig_hermitian",
     "eigenvalue_blocks",
@@ -61,6 +62,17 @@ def check_unitary(U, tol: float = DEFAULTS.unitary_tol) -> np.ndarray:
     dev = np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
     if dev > tol:
         raise InvariantViolation(f"matrix is not unitary: max|U*U - I| = {dev:.3e}")
+    return M
+
+
+def check_positive_det(A) -> np.ndarray:
+    """Validate a real positive det(A) (imaginary part within
+    1e-9 (1 + |det|)), where the determinant flow starts, and return A as
+    ndarray."""
+    M = as_complex_matrix(A)
+    det = complex(np.linalg.det(M))
+    if abs(det.imag) > 1e-9 * (1.0 + abs(det)) or det.real <= 0.0:
+        raise InvariantViolation(f"flow start needs real positive determinant, got {det:.3e}")
     return M
 
 

@@ -1,5 +1,5 @@
-"""File formats: matrix / pattern / contracted-point / polygon JSON and the
-trajectory CSV.
+"""File formats: matrix / pattern / contracted-point / polygon / polygon
+scenario JSON and the trajectory CSV.
 
 All writers are atomic (temp file + rename) and floats round-trip exactly
 through JSON. Loaders raise ParseError with field context on malformed input.
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -25,7 +26,8 @@ __all__ = [
     "matrix_to_json", "matrix_from_json", "save_matrix", "load_matrix",
     "pattern_to_json", "pattern_from_json", "save_pattern", "load_pattern",
     "contracted_to_json", "polygon_to_json", "polygon_from_json",
-    "save_polygon", "load_polygon", "save_trajectory", "atomic_write_text",
+    "save_polygon", "load_polygon", "scenario_from_json", "load_scenario",
+    "save_trajectory", "atomic_write_text",
 ]
 
 
@@ -135,6 +137,46 @@ def save_polygon(path: str, P: PolygonConfig) -> None:
 
 def load_polygon(path: str) -> PolygonConfig:
     return polygon_from_json(_load_json(path), where=path)
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x}")
+    return x
+
+
+def _list_of(value, kind) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [kind(v) for v in value]
+
+
+def scenario_from_json(obj, where: str = "scenario"):
+    """(r, d, angles, bends) of a polygon scenario object.
+
+    r is required; d defaults to no diagonals, angles to zeros and bends to
+    none. Each bend is a (diagonal, theta) pair, diagonal a list of edge
+    indices.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: a scenario is a JSON object, got {type(obj).__name__}")
+    if "r" not in obj:
+        raise ParseError(f"{where}: missing side lengths 'r'")
+    try:
+        r = _list_of(obj["r"], _finite)
+        d = _list_of(obj.get("d", []), _finite)
+        angles = _list_of(obj.get("angles", [0.0] * max(0, len(r) - 3)), _finite)
+        bends = [(_list_of(step["diagonal"], int), _finite(step["theta"]))
+                 for step in _list_of(obj.get("bends", []), dict)]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: expected finite number lists 'r', 'd' and 'angles', and "
+                         "'bends' as a list of {'diagonal': [...], 'theta': t}") from exc
+    return r, d, angles, bends
+
+
+def load_scenario(path: str):
+    return scenario_from_json(_load_json(path), where=path)
 
 
 def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None) -> None:

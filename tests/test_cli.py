@@ -91,11 +91,14 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["n", "entries", "rows", "edges"]), inner, max_size=3),
+    | st.dictionaries(st.sampled_from(["n", "entries", "rows", "edges", "r", "d", "angles",
+                                       "bends", "diagonal", "theta"]), inner, max_size=3),
     max_leaves=24)
 _JSON_OBJECTS = _JSON_VALUES | st.fixed_dictionaries(
     {}, optional={"n": _JSON_VALUES, "entries": _JSON_VALUES,
-                  "rows": _JSON_VALUES, "edges": _JSON_VALUES})
+                  "rows": _JSON_VALUES, "edges": _JSON_VALUES,
+                  "r": _JSON_VALUES, "d": _JSON_VALUES, "angles": _JSON_VALUES,
+                  "bends": _JSON_VALUES})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -106,9 +109,14 @@ _JSON_OBJECTS = _JSON_VALUES | st.fixed_dictionaries(
 @example({"n": 2, "entries": [[[1, 0], [0, 0]], 7]})
 @example({"rows": [[10 ** 400]]})
 @example({"edges": [[10 ** 400, 0, 0]] * 3})
+@example([1, 1, 1, 1])
+@example({"r": [1, 1, 1, 10 ** 400]})
+@example({"r": [1, 1, 1, 1], "bends": [{"diagonal": [1, 2], "theta": float("nan")}]})
+@example({"r": [1, 1, 1, 1], "bends": [{"diagonal": [float("inf")], "theta": 0}]})
+@example({"r": [1, 1, 1, 1], "bends": ["diagonal"]})
 def test_json_loader_fuzz_raises_only_documented_errors(obj):
     for load in (serialize.matrix_from_json, serialize.pattern_from_json,
-                 serialize.polygon_from_json):
+                 serialize.polygon_from_json, serialize.scenario_from_json):
         try:
             load(obj)
         except (ParseError, DomainError):
@@ -142,8 +150,11 @@ class TestCli:
                          f"min_step={stats.min_step:.3e} rhs_calls={stats.rhs_calls} "
                          f"err_rejects={stats.err_rejects} "
                          f"singular_rejects={stats.singular_rejects} "
-                         f"det_rejects={stats.det_rejects}")
+                         f"det_rejects={stats.det_rejects} k=1")
         assert stats.rejected == stats.err_rejects + stats.singular_rejects
+        serialize.save_matrix(src, np.eye(3))
+        assert main(["flow", "--in", src]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" k=3")
 
     def test_contract_stdout(self, tmp_path, capsys):
         src = str(tmp_path / "B.json")
@@ -198,6 +209,18 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         diag = float(lines[1].split()[1])
         assert abs(diag - np.sqrt(2)) < 1e-9
+
+    @pytest.mark.parametrize("text", [
+        "[1, 1, 1, 1]",
+        '{"r": [1, 1, 1, 1], "d": [' + "1" * 5000 + "]}",
+        '{"d": [1.5]}',
+        '{"r": [1, 1, 1, 1], "d": [1.4], "angles": [0], "bends": [{"diagonal": [1, 2]}]}',
+    ], ids=["list", "5000-digit-integer", "no-sides", "bend-without-theta"])
+    def test_bad_scenario_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "sc.json"
+        path.write_text(text)
+        assert main(["polygon", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ParseError")
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["gt-pattern", "--in", "/nonexistent/A.json"]) == 2
@@ -286,6 +309,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 20
+
+    def test_verify_fails_under_python_O(self):
+        # python -O strips assert statements; a broken adjugate must still
+        # make `mflow verify` report FAIL and exit 1
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mflow.__file__)))
+        code = ("import sys; from mflow import verify; from mflow.cli import main; "
+                "assert False, 'asserts are live'; "
+                "verify.adjugate = lambda A: A; sys.exit(main(['verify']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1, proc.stderr[-300:]
+        fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL adjugate-identity: residual"), fails
 
     def test_determinism_of_pattern_output(self, diag321, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -8,11 +8,12 @@ from mflow.contraction import (
     contract_closed_form,
     contract_point,
     contracted_equal,
+    flow_closed_form,
     same_fiber,
     star_action,
 )
-from mflow.errors import PrincipalStratumViolation
-from mflow.flow import integrate_flow
+from mflow.errors import InvariantViolation, PrincipalStratumViolation
+from mflow.flow import integrate_flow, vfield
 from mflow.gelfand_tsetlin import gt_pattern
 from mflow.matrices import haar_special_unitary, haar_unitary, traceless
 
@@ -52,6 +53,49 @@ class TestClosedForm:
             traj = integrate_flow(B)
             closed = contract_closed_form(B)
             assert np.linalg.norm(closed - traj.terminal) < 1e-5 * np.linalg.norm(B)
+
+    def test_flow_closed_form_solves_the_flow(self):
+        # the exact curve starts at B, keeps the traceless momentum, obeys
+        # the unit-rate law det B(s) = d0 - s, has the m = 1 field as its
+        # velocity (central differences) and ends at the closed form
+        rng = np.random.default_rng(83)
+        starts = [random_sl(3, rng), random_sl(4, rng), np.eye(3),
+                  np.diag([2.0, 2.0, 0.5, 0.5]), np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9])]
+        for B in starts:
+            d0 = float(np.linalg.det(B).real)
+            mu = traceless(B.conj().T @ B)
+            assert np.linalg.norm(flow_closed_form(B, 0.0) - B) < 1e-13 * np.linalg.norm(B)
+            for s in (0.3 * d0, 0.9 * d0, (1.0 - 1e-6) * d0):
+                Bs = flow_closed_form(B, s)
+                assert abs(np.linalg.det(Bs) - (d0 - s)) < 1e-12 * d0
+                drift = np.max(np.abs(traceless(Bs.conj().T @ Bs) - mu))
+                assert drift < 1e-12 * np.linalg.norm(B) ** 2
+                hi, lo = s + 1e-4 * (d0 - s), s - 1e-4 * (d0 - s)
+                slope = (flow_closed_form(B, hi) - flow_closed_form(B, lo)) / (hi - lo)
+                V = vfield(Bs, m=1)
+                # truncation error plus the rounding of B over the difference
+                bound = 1e-6 * np.linalg.norm(V) + 1e-15 * np.linalg.norm(B) / (hi - lo)
+                assert np.linalg.norm(slope - V) < bound
+            assert np.array_equal(flow_closed_form(B, d0), contract_closed_form(B))
+            assert np.array_equal(flow_closed_form(B, 2.0 * d0), contract_closed_form(B))
+
+    def test_flow_closed_form_next_to_the_singular_fiber(self):
+        # 0.2756235005058527 squares one unit lower as an array entry than
+        # as a scalar; sigma_min^2 - sigma_min^2 must still be exactly 0, or
+        # sqrt(g + x) turns NaN once x is below that unit
+        B = np.diag([2.0, 1.5, 0.2756235005058527])
+        d0 = float(np.prod(np.linalg.svd(B, compute_uv=False)))
+        for gap in (1e-12, 1e-15):
+            s = d0 * (1.0 - gap)
+            C = flow_closed_form(B, s)
+            assert np.all(np.isfinite(C))
+            assert abs(np.linalg.det(C).real / (d0 - s) - 1.0) < 1e-12
+
+    def test_flow_closed_form_refuses_what_has_no_flow(self):
+        with pytest.raises(InvariantViolation):
+            flow_closed_form(np.diag([1.0, -1.0]), 0.5)
+        with pytest.raises(InvariantViolation):
+            flow_closed_form(np.eye(2), float("nan"))
 
     def test_momentum_preserved(self):
         rng = np.random.default_rng(79)
