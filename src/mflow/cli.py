@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error (the error class name goes to stderr),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,10 +26,10 @@ from .branching import (
     polygon_monoid_member,
     tree_polytope_count,
 )
-from .config import load_config
+from .config import Config, env_var_name, flag_name, load_config
 from .contraction import contract_closed_form
 from .errors import DomainError, MFlowError, ParseError
-from .flow import FlowConfig, integrate_flow
+from .flow import integrate_flow
 from .gelfand_tsetlin import enumerate_gt, gt_pattern, weyl_dim
 from .polygons import bend, build_polygon, caterpillar_triangulation, diagonal_lengths
 from .verify import run_all
@@ -58,36 +59,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the resolved configuration and exit")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol-eig", type=float, default=None, dest="eig_tol")
-        sp.add_argument("--tol-gt", type=float, default=None, dest="gt_tol")
-        sp.add_argument("--tol-rel", type=float, default=None, dest="rel_tol")
-        sp.add_argument("--tol-abs", type=float, default=None, dest="abs_tol")
-        sp.add_argument("--tol-det-stop", type=float, default=None, dest="det_stop_tol")
-        sp.add_argument("--max-steps", type=int, default=None, dest="max_steps")
+    fields = {f.name: f for f in dataclasses.fields(Config)}
+
+    def config_flags(sp, *names):
+        """Flags for the Config fields that this subcommand reads."""
+        for name in names:
+            sp.add_argument(flag_name(name), type=type(fields[name].default), default=None,
+                            dest=name, help=f"overrides {env_var_name(name)}")
 
     sp = sub.add_parser("gt-pattern", help="Gel'fand-Tsetlin pattern of a Hermitian matrix")
     sp.add_argument("--in", dest="inp", required=True)
     sp.add_argument("--out", dest="out")
-    common(sp)
 
     sp = sub.add_parser("flow", help="integrate the determinant gradient flow")
     sp.add_argument("--in", dest="inp", required=True)
     sp.add_argument("--out", dest="out")
-    sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None,
                     help="resample the CSV onto a uniform time grid")
-    common(sp)
+    config_flags(sp, "m", "rel_tol", "abs_tol", "det_stop_tol", "max_steps")
 
     sp = sub.add_parser("contract", help="closed-form symplectic contraction of a matrix")
     sp.add_argument("--in", dest="inp", required=True)
     sp.add_argument("--out", dest="out")
-    common(sp)
 
     sp = sub.add_parser("gt-count", help="lattice count of a GT polytope vs the Weyl dimension")
     sp.add_argument("--weight", type=_int_list, required=True)
-    common(sp)
 
     sp = sub.add_parser("branch", help="branching-rule membership and multiplicity fixtures")
     g = sp.add_mutually_exclusive_group(required=True)
@@ -96,12 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dominance", type=_chain, metavar="LAMBDA:MU")
     g.add_argument("--polygon-monoid", type=_int_list, metavar="R1,...,RN")
     g.add_argument("--chain", type=_chain, metavar="W1:W2:...")
-    common(sp)
 
     sp = sub.add_parser("tree-count", help="lattice points of a tree polytope vs CG multiplicity")
     sp.add_argument("--tree", required=True, help='Newick string, e.g. "((1,2),(3,4))"')
     sp.add_argument("--r", type=_int_list, required=True, help="leaf weights by label")
-    common(sp)
 
     sp = sub.add_parser("polygon", help="build a polygon, apply bends, report diagonals")
     sp.add_argument("--r", type=_float_list, help="side lengths")
@@ -109,10 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--angles", type=_float_list, help="fan dihedral angles (n-3 values)")
     sp.add_argument("--scenario", help="JSON file with r, d, angles, bends")
     sp.add_argument("--out", dest="out")
-    common(sp)
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp)
+    config_flags(sp, "seed")
 
     return p
 
@@ -123,7 +116,7 @@ def _bool_word(b: bool) -> str:
 
 def cmd_gt_pattern(args, cfg) -> int:
     M = serialize.load_matrix(args.inp)
-    P = gt_pattern(M, gt_tol=cfg.gt_tol)
+    P = gt_pattern(M)
     if args.out:
         serialize.save_pattern(args.out, P)
     else:
@@ -132,11 +125,10 @@ def cmd_gt_pattern(args, cfg) -> int:
 
 
 def cmd_flow(args, cfg) -> int:
+    if args.samples is not None and args.samples < 0:
+        raise ParseError(f"--samples must be >= 0, got {args.samples}")
     M = serialize.load_matrix(args.inp)
-    fc = FlowConfig(m=args.m if args.m is not None else cfg.flow_m,
-                    rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                    det_stop_tol=cfg.det_stop_tol, max_steps=cfg.max_steps)
-    traj = integrate_flow(M, fc)
+    traj = integrate_flow(M, cfg)
     if args.out:
         serialize.save_trajectory(args.out, traj, samples=args.samples)
     stats = traj.step_stats
@@ -252,22 +244,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = load_config(
-        seed=getattr(args, "seed", None),
-        eig_tol=getattr(args, "eig_tol", None),
-        gt_tol=getattr(args, "gt_tol", None),
-        rel_tol=getattr(args, "rel_tol", None),
-        abs_tol=getattr(args, "abs_tol", None),
-        det_stop_tol=getattr(args, "det_stop_tol", None),
-        max_steps=getattr(args, "max_steps", None),
-    )
-    if args.show_config:
-        print(cfg.describe())
-        return 0
-    if args.command is None:
+    if args.command is None and not args.show_config:
         parser.print_help()
         return 2
     try:
+        cfg = load_config(**{f.name: getattr(args, f.name, None)
+                             for f in dataclasses.fields(Config)})
+        if args.show_config:
+            print(cfg.describe())
+            return 0
         return _COMMANDS[args.command](args, cfg)
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)

@@ -1,98 +1,86 @@
-"""Tolerance and run-parameter defaults, with MFLOW_* environment overrides.
+"""Run parameters of the determinant flow and of `mflow verify`, with
+MFLOW_* environment overrides.
 
 Precedence (resolved by the CLI): command-line flag > MFLOW_<NAME> env var
-> built-in default. Library functions take explicit keyword arguments and
-fall back to these defaults, so the numbers below are the single source of
-truth for every tolerance in the package.
+> built-in default. The numerical tolerances that no caller sets to a
+second value are module constants next to the function that owns them
+(`matrices.CLUSTER_TOL`, `polygons.CLOSURE_TOL`, ...), not fields here.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+
+from .errors import InvariantViolation, ParseError
 
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    # matrix-core
-    hermitian_tol: float = 1e-10   # relative: scaled by (1 + max|A|)
-    unitary_tol: float = 1e-9      # absolute on max|U*U - I|
-    eig_tol: float = 1e-9          # relative reconstruction error
-    cluster_tol: float = 1e-8      # relative: scaled by (1 + |A|)
-    polar_tol: float = 1e-9        # relative on |U P - B|
-    psd_tol: float = 1e-9          # relative: scaled by (1 + |H|)
-    # grad-flow
-    grad_floor: float = 1e-12
+    """Normalization index m, the DP45 error tolerances, the stop fiber
+    Re det = det_stop_tol and the budget of accepted plus rejected steps of
+    the flow, and the seed of the invariant suite."""
+
+    m: int = 1
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     det_stop_tol: float = 1e-6
     max_steps: int = 10_000
-    flow_m: int = 1
-    # gelfand-tsetlin
-    gt_tol: float = 1e-8           # relative: scaled by (1 + |A|)
-    # polygon-bending
-    closure_tol: float = 1e-9      # relative: scaled by max edge length
-    bend_floor: float = 1e-12
-    # shared
     seed: int = 0
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise InvariantViolation("normalization index m must be >= 1")
+        tols = (self.rel_tol, self.abs_tol, self.det_stop_tol)
+        if not all(math.isfinite(v) and v > 0 for v in tols):
+            raise InvariantViolation("tolerances must be positive and finite")
+        if self.seed < 0:
+            raise InvariantViolation("seed must be >= 0")
+
     def describe(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines)
+        return "\n".join(f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self))
 
-
-DEFAULTS = Config()
 
 ENV_PREFIX = "MFLOW_"
 
-# Environment spelling: MFLOW_TOL_EIG overrides eig_tol, MFLOW_SEED overrides
-# seed, etc. Tolerance fields drop their "_tol" suffix after the TOL_ marker.
-_ENV_NAMES = {
-    "hermitian_tol": "TOL_HERMITIAN",
-    "unitary_tol": "TOL_UNITARY",
-    "eig_tol": "TOL_EIG",
-    "cluster_tol": "TOL_CLUSTER",
-    "polar_tol": "TOL_POLAR",
-    "psd_tol": "TOL_PSD",
-    "grad_floor": "GRAD_FLOOR",
-    "rel_tol": "TOL_REL",
-    "abs_tol": "TOL_ABS",
-    "det_stop_tol": "TOL_DET_STOP",
-    "max_steps": "MAX_STEPS",
-    "flow_m": "M",
-    "gt_tol": "TOL_GT",
-    "closure_tol": "TOL_CLOSURE",
-    "bend_floor": "BEND_FLOOR",
-    "seed": "SEED",
-}
+
+def _spelling(field: str) -> str:
+    """TOL_REL for rel_tol, MAX_STEPS for max_steps, M for m: tolerance
+    fields drop their "_tol" suffix behind a TOL_ marker."""
+    if field.endswith("_tol"):
+        field = "tol_" + field[:-len("_tol")]
+    return field.upper()
 
 
 def env_var_name(field: str) -> str:
-    return ENV_PREFIX + _ENV_NAMES[field]
+    return ENV_PREFIX + _spelling(field)
+
+
+def flag_name(field: str) -> str:
+    """The command-line flag of a field: --tol-rel, --max-steps, --m."""
+    return "--" + _spelling(field).lower().replace("_", "-")
 
 
 def load_config(environ=None, **overrides) -> Config:
     """Build a Config from defaults, environment, then explicit overrides.
 
     Overrides with value None are ignored so CLI flags can be passed through
-    unconditionally.
+    unconditionally. An env value that does not parse as the field's type
+    raises ParseError; an out-of-range value raises InvariantViolation.
     """
     environ = os.environ if environ is None else environ
     values = {}
     for f in dataclasses.fields(Config):
         raw = environ.get(env_var_name(f.name))
         if raw is not None:
-            values[f.name] = _convert(f.name, raw)
+            kind = type(f.default)
+            try:
+                values[f.name] = kind(raw)
+            except ValueError:
+                raise ParseError(f"{env_var_name(f.name)}={raw!r}: expected "
+                                 f"{kind.__name__}") from None
     for name, value in overrides.items():
         if value is not None:
             values[name] = value
-    return dataclasses.replace(DEFAULTS, **values)
-
-
-def _convert(field: str, raw: str):
-    kind = Config.__dataclass_fields__[field].type
-    if kind == "int":
-        return int(raw)
-    return float(raw)
+    return Config(**values)

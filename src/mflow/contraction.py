@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import (
+    CLUSTER_TOL,
     as_complex_matrix,
     check_hermitian,
     check_positive_det,
@@ -76,7 +76,7 @@ class BlockPartition:
         return self.blocks[-1][1] if self.blocks else 0
 
 
-def partition_from_spectrum(w, cluster_tol: float = DEFAULTS.cluster_tol) -> BlockPartition:
+def partition_from_spectrum(w, cluster_tol: float = CLUSTER_TOL) -> BlockPartition:
     blocks = tuple(eigenvalue_blocks(w, cluster_tol))
     values = tuple(float(np.mean(w[lo:hi])) for lo, hi in blocks)
     return BlockPartition(blocks, values)
@@ -154,7 +154,7 @@ def flow_closed_form(B, s: float) -> np.ndarray:
 
 
 def contract_point(x: CotangentPoint,
-                   cluster_tol: float = DEFAULTS.cluster_tol) -> ContractedPoint:
+                   cluster_tol: float = CLUSTER_TOL) -> ContractedPoint:
     """Normal form (w, g, blocks) with h v h* = diag(w) and g = k h*."""
     w, U = eig_hermitian(x.v, cluster_tol=cluster_tol)
     # h = U* diagonalizes v, so g = k h* = k U.
@@ -178,7 +178,7 @@ def _block_special_unitary_defect(C: np.ndarray, partition: BlockPartition) -> f
 
 
 def same_fiber(x: CotangentPoint, y: CotangentPoint, tol: float,
-               cluster_tol: float = DEFAULTS.cluster_tol) -> bool:
+               cluster_tol: float = CLUSTER_TOL) -> bool:
     """Whether x and y are collapsed to one point by the contraction.
 
     True iff the momenta agree (max|v_x - v_y| <= tol) and, with h the sorted
@@ -212,7 +212,7 @@ def contracted_equal(a: ContractedPoint, b: ContractedPoint, tol: float) -> bool
 
 
 def star_action(A, level: int, phases,
-                cluster_tol: float = DEFAULTS.cluster_tol) -> np.ndarray:
+                cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
     """Torus action at one level of the nested-subgroup chain.
 
     Conjugates A by C = (h* diag(e^{i phases}) h) + I, where h diagonalizes

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import Config
 from .contraction import contract_closed_form
 from .errors import FlowBudgetExceeded, InvariantViolation, SingularLocus
 from .matrices import adjugate, as_complex_matrix, check_positive_det, eigenvalue_blocks
@@ -35,22 +35,9 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class FlowConfig:
-    """Normalization index m, the DP45 error tolerances, the stop fiber
-    Re det = det_stop_tol and the budget of accepted plus rejected steps."""
+FlowConfig = Config     # the flow reads m, the tolerances and max_steps
 
-    m: int = 1
-    rel_tol: float = DEFAULTS.rel_tol
-    abs_tol: float = DEFAULTS.abs_tol
-    det_stop_tol: float = DEFAULTS.det_stop_tol
-    max_steps: int = DEFAULTS.max_steps
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvariantViolation("normalization index m must be >= 1")
-        if min(self.rel_tol, self.abs_tol, self.det_stop_tol) <= 0:
-            raise InvariantViolation("tolerances must be positive")
+GRAD_FLOOR = 1e-12      # |grad Re det| at or below this is the singular locus
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +79,7 @@ class FlowTrajectory:
     slopes: list
     step_stats: StepStats
     terminal: np.ndarray
-    config: FlowConfig
+    config: Config
     k_times: list
     dense: list
     start_det: float
@@ -172,7 +159,7 @@ def _rescale(V: np.ndarray, re_det: float, m: int) -> np.ndarray:
     return V * (m * max(re_det, 0.0) ** (1.0 - 1.0 / m))
 
 
-def vfield(A, m: int = 1, grad_floor: float = DEFAULTS.grad_floor) -> np.ndarray:
+def vfield(A, m: int = 1, grad_floor: float = GRAD_FLOOR) -> np.ndarray:
     """Normalized downhill field: -grad/|grad|^2 times m (Re det)^(1 - 1/m).
 
     m = 1 is the unit-rate normalization with <V, grad Re det> = -1.
@@ -227,13 +214,13 @@ _ERR_FLOOR = 1e-4   # floor of err_prev, so one tiny error cannot stall growth
 
 def _time_exponent(B0: np.ndarray) -> int:
     """Multiplicity k of the smallest singular value of B0, clustered as in
-    eigenvalue_blocks with DEFAULTS.cluster_tol."""
-    lo, hi = eigenvalue_blocks(np.linalg.svd(B0, compute_uv=False), DEFAULTS.cluster_tol)[-1]
+    eigenvalue_blocks."""
+    lo, hi = eigenvalue_blocks(np.linalg.svd(B0, compute_uv=False))[-1]
     return hi - lo
 
 
-def integrate_flow(B0, cfg: FlowConfig | None = None,
-                   grad_floor: float = DEFAULTS.grad_floor) -> FlowTrajectory:
+def integrate_flow(B0, cfg: Config | None = None,
+                   grad_floor: float = GRAD_FLOOR) -> FlowTrajectory:
     """Integrate the normalized gradient flow from B0 down to det = 0.
 
     B0 must have real positive determinant (det = 1 for SL(n) starts). The
@@ -263,7 +250,7 @@ def integrate_flow(B0, cfg: FlowConfig | None = None,
     contraction of the last sample onto det = 0.
     """
     if cfg is None:
-        cfg = FlowConfig()
+        cfg = Config()
     B0 = check_positive_det(B0)
     shape = B0.shape
     k = _time_exponent(B0)

@@ -18,9 +18,9 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULTS
+from .branching import MAX_WEIGHT
 from .errors import InvariantViolation, PrincipalStratumViolation
-from .matrices import check_hermitian, eig_hermitian, haar_unitary
+from .matrices import CLUSTER_TOL, check_hermitian, eig_hermitian, haar_unitary
 
 __all__ = [
     "GTPattern",
@@ -66,7 +66,7 @@ class GTPattern:
         return self.rows[0]
 
 
-def gt_pattern(A, gt_tol: float = DEFAULTS.gt_tol) -> GTPattern:
+def gt_pattern(A) -> GTPattern:
     """Pattern of descending leading-submatrix spectra (levels n down to 1)."""
     M = check_hermitian(A)
     n = M.shape[0]
@@ -123,10 +123,16 @@ def _count_below(row: tuple) -> int:
 
 
 def enumerate_gt(top) -> int:
-    """Exact number of integer patterns with the given top row."""
+    """Exact number of integer patterns with the given top row.
+
+    The spread max - min of the top row must be at most MAX_WEIGHT: the
+    count is dense in it, in time and memory.
+    """
     row = _check_top_row(top)
     if not row:
         return 1
+    if row[0] - row[-1] > MAX_WEIGHT:
+        raise InvariantViolation(f"top row spread must be at most {MAX_WEIGHT}")
     # counts are translation invariant; shift for cache sharing
     base = row[-1]
     return _count_below(tuple(v - base for v in row))
@@ -202,7 +208,7 @@ class OrbitFunction:
         vals = np.linalg.eigvalsh(M[: self.j, : self.j])[::-1]
         return float(vals[self.i - 1])
 
-    def gradient(self, A, cluster_tol: float = DEFAULTS.cluster_tol) -> np.ndarray:
+    def gradient(self, A, cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
         M = check_hermitian(A)
         n = M.shape[0]
         if self.kind == "linear":
@@ -225,7 +231,7 @@ class OrbitFunction:
 
 
 def poisson_bracket(f: OrbitFunction, g: OrbitFunction, A,
-                    cluster_tol: float = DEFAULTS.cluster_tol) -> float:
+                    cluster_tol: float = CLUSTER_TOL) -> float:
     """Kostant-Kirillov bracket <A, i[grad f, grad g]> at the point A."""
     M = check_hermitian(A)
     Gf = f.gradient(M, cluster_tol)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import InvariantViolation, NotPositiveSemidefinite
 
 __all__ = [
@@ -35,6 +34,11 @@ __all__ = [
     "haar_special_unitary",
 ]
 
+HERMITIAN_TOL = 1e-10   # relative: scaled by (1 + max|A|)
+UNITARY_TOL = 1e-9      # absolute on max|U*U - I|
+CLUSTER_TOL = 1e-8      # relative: scaled by (1 + |A|)
+PSD_TOL = 1e-9          # relative: scaled by (1 + |H|)
+
 
 def as_complex_matrix(A) -> np.ndarray:
     """Coerce to a square complex ndarray with finite entries."""
@@ -46,7 +50,7 @@ def as_complex_matrix(A) -> np.ndarray:
     return M
 
 
-def check_hermitian(A, tol: float = DEFAULTS.hermitian_tol) -> np.ndarray:
+def check_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate max|A - A*| <= tol * (1 + max|A|) and return A as ndarray."""
     M = as_complex_matrix(A)
     scale = 1.0 + np.max(np.abs(M), initial=0.0)
@@ -56,7 +60,7 @@ def check_hermitian(A, tol: float = DEFAULTS.hermitian_tol) -> np.ndarray:
     return M
 
 
-def check_unitary(U, tol: float = DEFAULTS.unitary_tol) -> np.ndarray:
+def check_unitary(U, tol: float = UNITARY_TOL) -> np.ndarray:
     """Validate max|U*U - I| <= tol and return U as ndarray."""
     M = as_complex_matrix(U)
     dev = np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
@@ -84,7 +88,7 @@ def check_spectrum(w) -> np.ndarray:
     return v
 
 
-def eigenvalue_blocks(w, cluster_tol: float | None = None, scale: float | None = None):
+def eigenvalue_blocks(w, cluster_tol: float = CLUSTER_TOL, scale: float | None = None):
     """Partition a weakly decreasing spectrum into clusters of nearly equal values.
 
     Returns a list of (lo, hi) index ranges (hi exclusive). Two consecutive
@@ -92,8 +96,6 @@ def eigenvalue_blocks(w, cluster_tol: float | None = None, scale: float | None =
     cluster_tol * (1 + scale); scale defaults to max|w|.
     """
     v = np.asarray(w, dtype=float).ravel()
-    if cluster_tol is None:
-        cluster_tol = DEFAULTS.cluster_tol
     if scale is None:
         scale = float(np.max(np.abs(v), initial=0.0))
     gap = cluster_tol * (1.0 + scale)
@@ -131,8 +133,8 @@ def _gram_schmidt(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian(A, hermitian_tol: float = DEFAULTS.hermitian_tol,
-                  cluster_tol: float = DEFAULTS.cluster_tol):
+def eig_hermitian(A, hermitian_tol: float = HERMITIAN_TOL,
+                  cluster_tol: float = CLUSTER_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, U) with w weakly decreasing and U unitary such that
@@ -226,7 +228,7 @@ def traceless(H) -> np.ndarray:
     return M - (np.trace(M) / n) * np.eye(n)
 
 
-def section_sqrt(H, psd_tol: float = DEFAULTS.psd_tol):
+def section_sqrt(H, psd_tol: float = PSD_TOL):
     """Principal PSD square root: the momentum-map section on PSD matrices.
 
     Eigenvalues within psd_tol * (1 + |H|) of zero are clamped to zero; an

@@ -14,7 +14,6 @@ import dataclasses
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import InvariantViolation, TriangleInfeasible, UndefinedBendAxis
 
 __all__ = [
@@ -26,6 +25,9 @@ __all__ = [
     "bend",
     "measure_caterpillar",
 ]
+
+CLOSURE_TOL = 1e-9    # relative: scaled by max edge length
+BEND_FLOOR = 1e-12    # bend axes no longer than this are undefined
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,7 +44,7 @@ class PolygonConfig:
         object.__setattr__(self, "edges", E)
         norms = np.linalg.norm(E, axis=1)
         closure = np.linalg.norm(E.sum(axis=0))
-        if closure > DEFAULTS.closure_tol * max(norms.max(), 1e-300):
+        if closure > CLOSURE_TOL * max(norms.max(), 1e-300):
             raise InvariantViolation(f"polygon does not close: |sum e_i| = {closure:.3e}")
         if not self.allow_degenerate and norms.min() <= 0.0:
             raise InvariantViolation("zero-length edge (pass allow_degenerate to permit)")
@@ -116,6 +118,8 @@ def build_polygon(r, d, angles) -> PolygonConfig:
     if d.size != n - 3 or theta.size != n - 3:
         raise InvariantViolation(
             f"need {n - 3} diagonals and angles for an {n}-gon, got {d.size}, {theta.size}")
+    if not (np.isfinite(r).all() and np.isfinite(d).all() and np.isfinite(theta).all()):
+        raise InvariantViolation("side lengths, diagonals and angles must be finite")
     if np.any(r < 0) or np.any(d < 0):
         raise InvariantViolation("lengths must be nonnegative")
 
@@ -145,7 +149,7 @@ def build_polygon(r, d, angles) -> PolygonConfig:
             continue
         axis = verts[k + 1]
         nrm = np.linalg.norm(axis)
-        if nrm <= DEFAULTS.bend_floor:
+        if nrm <= BEND_FLOOR:
             raise UndefinedBendAxis(f"fan diagonal {k} has zero length")
         R = _rodrigues(axis / nrm, theta[k - 1])
         verts[k + 2:] = verts[k + 2:] @ R.T
@@ -182,7 +186,7 @@ def bend(P: PolygonConfig, diagonal, theta: float) -> PolygonConfig:
     idx = np.array(run) - 1
     axis = P.edges[idx].sum(axis=0)
     nrm = np.linalg.norm(axis)
-    if nrm <= DEFAULTS.bend_floor:
+    if nrm <= BEND_FLOOR:
         raise UndefinedBendAxis(f"diagonal {run} has zero length; no bending axis")
     R = _rodrigues(axis / nrm, float(theta))
     edges = P.edges.copy()

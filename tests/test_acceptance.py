@@ -180,7 +180,7 @@ def test_acceptance_07_interlacing():
             bad = validate_interlacing(pattern, tol)
             assert bad == [], f"trial {trial}: violations {bad[:3]}"
 
-    _report(7, "10^4 random Hermitian matrices: zero interlacing violations at gt_tol", body)
+    _report(7, "10^4 random Hermitian matrices: zero interlacing violations at 1e-8 relative", body)
 
 
 def test_acceptance_08_gt_integrability():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 import mflow
 from mflow import serialize
+from mflow import cli
 from mflow.cli import main
+from mflow.config import Config, env_var_name, flag_name
 from mflow.errors import DomainError, ParseError
 from mflow.flow import integrate_flow
 from mflow.gelfand_tsetlin import GTPattern, gt_pattern
@@ -241,6 +244,24 @@ class TestCli:
         assert main(["polygon", "--r", "1,1,1,1", "--d", "3", "--angles", "0"]) == 1
         assert "TriangleInfeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--r", "1,1,1,1", "--d", "nan", "--angles", "0"],
+        ["--r", "nan,1,1,1", "--d", "1", "--angles", "0"],
+        ["--r", "1,1,1,1", "--d", "1.4", "--angles", "inf"],
+        ["--r", "1,1,1,inf", "--d", "1", "--angles", "0"],
+    ])
+    def test_non_finite_polygon_exit_1(self, argv, capsys):
+        assert main(["polygon", *argv]) == 1
+        assert capsys.readouterr().err.startswith("InvariantViolation")
+
+    def test_negative_samples_exit_2(self, tmp_path, capsys):
+        src = str(tmp_path / "B.json")
+        serialize.save_matrix(src, np.diag([2.0, 0.5]))
+        out = tmp_path / "t.csv"
+        assert main(["flow", "--in", src, "--samples", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ParseError")
+        assert not out.exists()
+
     @pytest.mark.parametrize("depth", [2000, 100000])
     def test_deep_newick_exits_cleanly(self, depth, capsys):
         deep = "(" * depth + "1,2" + ")" * depth
@@ -254,6 +275,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["tree-count", "--tree", "(1,2,3)", "--r", "1234567890,1234567890,2"],
         ["branch", "--cg", "1234567890,1234567890,2"],
+        ["gt-count", "--weight", "100000,0,0"],
     ])
     def test_huge_weight_refused_quickly(self, argv):
         # in a child process capped at 2 GB of address space, so that without
@@ -298,11 +320,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert "det_stop_tol = 1e-06" in out
         assert "seed = 0" in out
+        shown = [line.split(" = ")[0] for line in out.splitlines()]
+        assert shown == [f.name for f in dataclasses.fields(Config)]
 
     def test_env_override_and_flag_precedence(self, monkeypatch, capsys):
-        monkeypatch.setenv("MFLOW_TOL_EIG", "1e-7")
+        monkeypatch.setenv("MFLOW_TOL_REL", "1e-7")
         assert main(["--show-config"]) == 0
-        assert "eig_tol = 1e-07" in capsys.readouterr().out
+        assert "rel_tol = 1e-07" in capsys.readouterr().out
+        assert main(["--show-config", "flow", "--in", "B.json", "--tol-rel", "1e-6"]) == 0
+        assert "rel_tol = 1e-06" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["gt-count", "--weight", "2,1,0", "--tol-rel", "5"],
+        ["contract", "--in", "B.json", "--seed", "1"],
+        ["verify", "--m", "2"],
+        ["flow", "--in", "B.json", "--tol-eig", "1e-7"],
+        ["gt-pattern", "--in", "A.json", "--tol-gt", "1e-7"],
+    ])
+    def test_flags_only_on_the_subcommand_that_reads_them(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, argv, code, error", [
+        ({"MFLOW_SEED": "abc"}, ["verify"], 2, "ParseError"),
+        ({"MFLOW_M": "1.5"}, ["--show-config"], 2, "ParseError"),
+        ({"MFLOW_TOL_REL": "-1"}, ["--show-config"], 1, "InvariantViolation"),
+        ({"MFLOW_TOL_DET_STOP": "nan"}, ["--show-config"], 1, "InvariantViolation"),
+        ({}, ["flow", "--in", "missing.json", "--m", "0"], 1, "InvariantViolation"),
+        ({}, ["verify", "--seed", "-1"], 1, "InvariantViolation"),
+    ], ids=["env-seed-abc", "env-m-float", "env-tol-negative", "env-tol-nan", "flag-m-0",
+            "flag-seed-negative"])
+    def test_config_errors_exit_codes(self, env, argv, code, error, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(error)
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -328,6 +382,47 @@ class TestCli:
         main(["gt-pattern", "--in", diag321, "--out", a])
         main(["gt-pattern", "--in", diag321, "--out", b])
         assert open(a).read() == open(b).read()
+
+
+# The subcommand that reads each Config field. A field missing here has no
+# consumer, and its case of the test below fails.
+_READER = {"m": "flow", "rel_tol": "flow", "abs_tol": "flow", "det_stop_tol": "flow",
+           "max_steps": "flow", "seed": "verify"}
+
+
+class _Reads:
+    """A Config stand-in that records every field its holder reads."""
+
+    def __init__(self, cfg, seen):
+        self._cfg, self._seen = cfg, seen
+
+    def __getattr__(self, name):
+        value = getattr(self._cfg, name)
+        self._seen[name] = value
+        return value
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(Config), ids=lambda f: f.name)
+def test_config_field_reaches_its_consumer(field, tmp_path, monkeypatch, capsys):
+    """An env value, then a flag value over it, reaches the code that reads
+    the field: integrate_flow for the flow fields, run_all for the seed."""
+    seen = {}
+    real_flow = cli.integrate_flow
+    monkeypatch.setattr(cli, "integrate_flow", lambda B0, cfg: real_flow(B0, _Reads(cfg, seen)))
+    monkeypatch.setattr(cli, "run_all", lambda seed: seen.update(seed=seed) or [])
+    src = str(tmp_path / "B.json")
+    serialize.save_matrix(src, np.diag([2.0, 0.5]))
+    argv = {"flow": ["flow", "--in", src], "verify": ["verify"]}[_READER[field.name]]
+    step = 1 if isinstance(field.default, int) else field.default
+    env_value, flag_value = field.default + step, field.default + 3 * step
+
+    monkeypatch.setenv(env_var_name(field.name), str(env_value))
+    assert main(["--show-config"]) == 0
+    assert f"{field.name} = {env_value}" in capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    assert seen.pop(field.name) == env_value
+    assert main(argv + [flag_name(field.name), str(flag_value)]) == 0
+    assert seen.pop(field.name) == flag_value
 
 
 class TestPatternJsonShape:

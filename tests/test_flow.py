@@ -304,7 +304,7 @@ class TestIntegrateFlow:
 
     @pytest.mark.parametrize("gap, k", [(1e-9, 4), (1e-3, 3)])
     def test_cluster_threshold_of_the_time_exponent(self, gap, k):
-        # diag(1, 1, 1, 1 + gap) on each side of DEFAULTS.cluster_tol: a gap
+        # diag(1, 1, 1, 1 + gap) on each side of matrices.CLUSTER_TOL: a gap
         # below it counts as a 4-fold smallest singular value, one above it
         # leaves a 3-fold one; either way the README tolerances hold
         B0 = np.diag([1.0, 1.0, 1.0, 1.0 + gap])

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mflow import gelfand_tsetlin
+from mflow import branching, gelfand_tsetlin
 from mflow.errors import InvariantViolation, PrincipalStratumViolation
 from mflow.gelfand_tsetlin import (
     GTPattern,
@@ -121,6 +121,14 @@ class TestEnumerate:
     def test_rejects_unsorted(self):
         with pytest.raises(InvariantViolation):
             enumerate_gt((1, 2))
+
+    def test_spread_bounded_by_max_weight(self):
+        top = branching.MAX_WEIGHT
+        assert enumerate_gt((top + 5, 5)) == top + 1
+        with pytest.raises(InvariantViolation):
+            enumerate_gt((top + 6, 5))
+        with pytest.raises(InvariantViolation):
+            enumerate_gt((0, 0, -top - 1))
 
     def test_count_cache_is_bounded(self):
         assert gelfand_tsetlin._count_below.cache_info().maxsize is not None

@@ -39,6 +39,16 @@ class TestBuildPolygon:
         assert "np.float64" not in str(err.value)
         assert "(1.0, 1.0, 3.0)" in str(err.value)
 
+    @pytest.mark.parametrize("r, d, angles", [
+        ((1, 1, 1, 1), (np.nan,), (0.0,)),
+        ((np.nan, 1, 1, 1), (1.0,), (0.0,)),
+        ((1, 1, 1, np.inf), (1.0,), (0.0,)),
+        ((1, 1, 1, 1), (np.sqrt(2),), (np.inf,)),
+    ])
+    def test_non_finite_refused(self, r, d, angles):
+        with pytest.raises(InvariantViolation, match="finite"):
+            build_polygon(r, d, angles)
+
     def test_prescribed_data_reproduced(self):
         rng = np.random.default_rng(157)
         for n in (4, 5, 6, 8):
