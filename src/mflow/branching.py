@@ -282,6 +282,11 @@ def pieri_admissible(eta, lam) -> bool:
     if len(lam) != len(eta) + 1:
         raise InvariantViolation(
             f"length mismatch: |eta| = {len(eta)}, |lambda| = {len(lam)}")
+    return _interlaces(eta, lam)
+
+
+def _interlaces(eta: tuple, lam: tuple) -> bool:
+    """pieri_admissible of checked tuples, |lam| = |eta| + 1."""
     return all(lam[i] >= eta[i] >= lam[i + 1] for i in range(len(eta)))
 
 
@@ -399,4 +404,4 @@ def fiber_chain_member(chain) -> bool:
         if len(b) != len(a) + 1:
             raise InvariantViolation(
                 f"chain lengths must increase by one: {len(a)} -> {len(b)}")
-    return all(pieri_admissible(a, b) for a, b in zip(rows, rows[1:]))
+    return all(_interlaces(a, b) for a, b in zip(rows, rows[1:]))

@@ -1,9 +1,9 @@
 """Command-line surface: flows, contraction, patterns, counts, branching
 fixtures, polygons, and the invariant verifier.
 
-Exit codes: 0 success, 1 domain error (the error class name goes to stderr),
-2 I/O or parse error. Config precedence is flag > MFLOW_* env var > default;
-`--show-config` prints the resolved values.
+Exit codes: 0 success, 1 domain error or a LAPACK failure (the error class
+name goes to stderr), 2 I/O or parse error. Config precedence is flag >
+MFLOW_* env var > default; `--show-config` prints the resolved values.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ def cmd_gt_pattern(args, cfg) -> int:
 def cmd_flow(args, cfg) -> int:
     if args.samples is not None and args.samples < 0:
         raise ParseError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples is not None and not args.out:
+        raise ParseError("--samples resamples the CSV, so it needs --out")
     M = serialize.load_matrix(args.inp)
     traj = integrate_flow(M, cfg)
     if args.out:
@@ -260,7 +262,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MFlowError as exc:

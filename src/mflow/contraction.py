@@ -19,11 +19,11 @@ import numpy as np
 from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import (
     CLUSTER_TOL,
+    _eigh,
     as_complex_matrix,
     check_hermitian,
     check_positive_det,
     check_unitary,
-    eig_hermitian,
     eigenvalue_blocks,
 )
 
@@ -48,10 +48,17 @@ class CotangentPoint:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", check_unitary(self.k))
-        object.__setattr__(self, "v", check_hermitian(self.v))
+        # read-only copies: the checks made here hold for the point's life
+        object.__setattr__(self, "k", _frozen(check_unitary(self.k)))
+        object.__setattr__(self, "v", _frozen(check_hermitian(self.v)))
         if self.k.shape != self.v.shape:
             raise InvariantViolation("k and v must have equal dimensions")
+
+
+def _frozen(M: np.ndarray) -> np.ndarray:
+    out = M.copy()
+    out.flags.writeable = False
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,7 +163,7 @@ def flow_closed_form(B, s: float) -> np.ndarray:
 def contract_point(x: CotangentPoint,
                    cluster_tol: float = CLUSTER_TOL) -> ContractedPoint:
     """Normal form (w, g, blocks) with h v h* = diag(w) and g = k h*."""
-    w, U = eig_hermitian(x.v, cluster_tol=cluster_tol)
+    w, U = _eigh(x.v, cluster_tol)
     # h = U* diagonalizes v, so g = k h* = k U.
     g = x.k @ U
     return ContractedPoint(w, g, partition_from_spectrum(w, cluster_tol))
@@ -190,7 +197,7 @@ def same_fiber(x: CotangentPoint, y: CotangentPoint, tol: float,
         return False
     if np.max(np.abs(x.v - y.v)) > tol:
         return False
-    w, U = eig_hermitian(x.v, cluster_tol=cluster_tol)
+    w, U = _eigh(x.v, cluster_tol)
     partition = partition_from_spectrum(w, cluster_tol)
     C = U.conj().T @ (x.k.conj().T @ y.k) @ U
     return _block_special_unitary_defect(C, partition) <= tol
@@ -229,7 +236,7 @@ def star_action(A, level: int, phases,
     if theta.size != j:
         raise InvariantViolation(f"need {j} phases for level {j}, got {theta.size}")
     sub = M[:j, :j]
-    w, U = eig_hermitian(sub, cluster_tol=cluster_tol)
+    w, U = _eigh(sub, cluster_tol)
     scale = 1.0 + float(np.max(np.abs(w), initial=0.0))
     if j > 1 and np.min(-np.diff(w)) <= cluster_tol * scale:
         raise PrincipalStratumViolation(

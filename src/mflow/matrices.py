@@ -53,8 +53,8 @@ def as_complex_matrix(A) -> np.ndarray:
 def check_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate max|A - A*| <= tol * (1 + max|A|) and return A as ndarray."""
     M = as_complex_matrix(A)
-    scale = 1.0 + np.max(np.abs(M), initial=0.0)
-    dev = np.max(np.abs(M - M.conj().T), initial=0.0)
+    scale = 1.0 + np.abs(M).max(initial=0.0)
+    dev = np.abs(M - M.conj().T).max(initial=0.0)
     if dev > tol * scale:
         raise InvariantViolation(f"matrix is not Hermitian: max|A - A*| = {dev:.3e}")
     return M
@@ -95,31 +95,34 @@ def eigenvalue_blocks(w, cluster_tol: float = CLUSTER_TOL, scale: float | None =
     eigenvalues belong to one block when they differ by at most
     cluster_tol * (1 + scale); scale defaults to max|w|.
     """
-    v = np.asarray(w, dtype=float).ravel()
+    v = np.asarray(w, dtype=float).ravel().tolist()
     if scale is None:
-        scale = float(np.max(np.abs(v), initial=0.0))
-    gap = cluster_tol * (1.0 + scale)
+        scale = max(map(abs, v), default=0.0)
+    return _blocks(v, cluster_tol * (1.0 + scale))
+
+
+def _blocks(v: list, gap: float) -> list:
+    """eigenvalue_blocks of the float list v with the absolute gap."""
     blocks = []
     lo = 0
-    for i in range(1, v.size):
+    for i in range(1, len(v)):
         if v[lo] - v[i] > gap or v[i - 1] - v[i] > gap:
             blocks.append((lo, i))
             lo = i
-    if v.size:
-        blocks.append((lo, v.size))
+    if v:
+        blocks.append((lo, len(v)))
     return blocks
 
 
 def _fix_phases(U: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component of each column real positive."""
-    V = U.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            z = col[idx[0]]
-            V[:, j] = col * (z.conjugate() / abs(z))
-    return V
+    """Make the first non-negligible component of each column real positive.
+
+    Every column must have a component above 1e-12, as the unit columns of
+    an eigenbasis do.
+    """
+    first = (np.abs(U) > 1e-12).argmax(axis=0)
+    z = U[first, np.arange(U.shape[1])]
+    return U * (z.conj() / np.abs(z))
 
 
 def _gram_schmidt(cols: np.ndarray) -> np.ndarray:
@@ -143,17 +146,22 @@ def eig_hermitian(A, hermitian_tol: float = HERMITIAN_TOL,
     column's phase is fixed so the first sizable component is real positive,
     which makes the output deterministic.
     """
-    M = check_hermitian(A, hermitian_tol)
-    H = 0.5 * (M + M.conj().T)
-    vals, vecs = np.linalg.eigh(H)
+    return _eigh(check_hermitian(A, hermitian_tol), cluster_tol)
+
+
+def _eigh(M: np.ndarray, cluster_tol: float):
+    """eig_hermitian of a matrix that check_hermitian has accepted."""
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
     w = vals[::-1].copy()
-    U = vecs[:, ::-1].copy()
-    scale = float(np.max(np.abs(w), initial=0.0))
-    for lo, hi in eigenvalue_blocks(w, cluster_tol, scale):
+    U = vecs[:, ::-1]
+    v = w.tolist()
+    if not v:
+        return w, U.copy()
+    scale = max(abs(v[0]), abs(v[-1]))      # v is sorted
+    for lo, hi in _blocks(v, cluster_tol * (1.0 + scale)):
         if hi - lo > 1:
             U[:, lo:hi] = _gram_schmidt(U[:, lo:hi])
-    U = _fix_phases(U)
-    return w, U
+    return w, _fix_phases(U)
 
 
 def polar_decompose(B):
@@ -234,8 +242,7 @@ def section_sqrt(H, psd_tol: float = PSD_TOL):
     Eigenvalues within psd_tol * (1 + |H|) of zero are clamped to zero; an
     eigenvalue below that margin raises NotPositiveSemidefinite.
     """
-    M = check_hermitian(H)
-    w, U = eig_hermitian(M)
+    w, U = _eigh(check_hermitian(H), CLUSTER_TOL)
     margin = psd_tol * (1.0 + float(np.max(np.abs(w), initial=0.0)))
     if w.size and w[-1] < -margin:
         raise NotPositiveSemidefinite(

@@ -376,6 +376,21 @@ class TestFiberChain:
         with pytest.raises(InvariantViolation):
             fiber_chain_member([(3,)])
 
+    def test_each_row_checked_once(self, monkeypatch):
+        calls = []
+        real = branching._check_weakly_decreasing
+
+        def counted(w, what="weight"):
+            calls.append(w)
+            return real(w, what)
+
+        monkeypatch.setattr(branching, "_check_weakly_decreasing", counted)
+        assert fiber_chain_member([(3,), (3, 2), (3, 2, 1), (4, 2, 1, 0)])
+        assert not fiber_chain_member([(4,), (3, 2), (3, 2, 1)])
+        assert len(calls) == 7
+        assert pieri_admissible((3, 2), (3, 2, 1))
+        assert len(calls) == 9
+
     def test_equivalence_with_patterns(self):
         for lam in [(2, 1, 0), (3, 1), (2, 2, 1)]:
             for p in iter_gt_patterns(lam):

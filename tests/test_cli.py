@@ -262,6 +262,34 @@ class TestCli:
         assert capsys.readouterr().err.startswith("ParseError")
         assert not out.exists()
 
+    def test_samples_without_out_exit_2(self, tmp_path, capsys):
+        src = str(tmp_path / "B.json")
+        serialize.save_matrix(src, np.diag([2.0, 0.5]))
+        assert main(["flow", "--in", src, "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ParseError")
+        assert captured.out == ""
+
+    def test_non_finite_spectrum_exit_1(self, tmp_path, capsys):
+        # finite entries, but the spectrum overflows float64
+        rng = np.random.default_rng(23)
+        Z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        A = 0.5 * (Z + Z.conj().T)
+        src = str(tmp_path / "A.json")
+        serialize.save_matrix(src, A / np.max(np.abs(A)) * 1.5e308)
+        assert main(["gt-pattern", "--in", src]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvariantViolation")
+        assert captured.out == ""
+
+    def test_lapack_failure_exit_1(self, diag321, monkeypatch, capsys):
+        def fail(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "gt_pattern", fail)
+        assert main(["gt-pattern", "--in", diag321]) == 1
+        assert capsys.readouterr().err.startswith("LinAlgError")
+
     @pytest.mark.parametrize("depth", [2000, 100000])
     def test_deep_newick_exits_cleanly(self, depth, capsys):
         deep = "(" * depth + "1,2" + ")" * depth
@@ -276,6 +304,8 @@ class TestCli:
         ["tree-count", "--tree", "(1,2,3)", "--r", "1234567890,1234567890,2"],
         ["branch", "--cg", "1234567890,1234567890,2"],
         ["gt-count", "--weight", "100000,0,0"],
+        ["gt-count", "--weight", ",".join(str(v) for v in range(24, -1, -1))],
+        ["gt-count", "--weight", ",".join(["0"] * 500)],
     ])
     def test_huge_weight_refused_quickly(self, argv):
         # in a child process capped at 2 GB of address space, so that without

@@ -244,6 +244,17 @@ class TestStarAction:
 
 
 class TestTypes:
+    def test_cotangent_point_stores_read_only_copies(self):
+        k = np.eye(2, dtype=complex)
+        v = np.diag([2.0, 1.0]).astype(complex)
+        x = CotangentPoint(k, v)
+        v[0, 1] = 5.0                   # the caller's array, not the point's
+        assert x.v[0, 1] == 0.0
+        for M in (x.k, x.v):
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 3.0
+
     def test_block_partition_validation(self):
         with pytest.raises(Exception):
             BlockPartition(((0, 1), (2, 3)), (2.0, 1.0))

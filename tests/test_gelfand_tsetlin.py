@@ -1,9 +1,12 @@
+import time
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mflow import branching, gelfand_tsetlin
+from mflow import branching, contraction, gelfand_tsetlin, matrices
 from mflow.errors import InvariantViolation, PrincipalStratumViolation
 from mflow.gelfand_tsetlin import (
     GTPattern,
@@ -65,11 +68,82 @@ class TestGtPattern:
             tol = 1e-8 * (1.0 + np.max(np.abs(np.linalg.eigvalsh(A))))
             assert validate_interlacing(gt_pattern(A), tol) == []
 
+    def test_non_finite_spectrum_refused(self):
+        A = random_hermitian(12, np.random.default_rng(5))
+        with pytest.raises(InvariantViolation):
+            gt_pattern(A / np.max(np.abs(A)) * 1.5e308)
+
+    def test_huge_entries_with_finite_spectrum(self):
+        p = gt_pattern(np.diag([1.5e308, 0.0, -1.5e308]))
+        assert np.allclose(p.rows[0], (1.5e308, 0.0, -1.5e308), rtol=1e-15, atol=0.0)
+        assert validate_interlacing(p, 1e-15 * 1.5e308) == []
+
+    def test_zero_and_empty(self):
+        assert gt_pattern(np.zeros((3, 3))).rows == ((0.0, 0.0, 0.0), (0.0, 0.0), (0.0,))
+        assert gt_pattern(np.zeros((0, 0))).rows == ()
+
     def test_vertex_pattern_at_diagonal_matrix(self):
         lam = (4.0, 2.0, 1.0, -3.0)
         p = gt_pattern(np.diag(lam))
         for j in range(1, 5):
             assert p.row(j) == lam[:j]
+
+
+def pattern_by_block(A):
+    """Reference for gt_pattern: one eigvalsh call per leading block."""
+    M = np.asarray(A, dtype=complex)
+    return [np.linalg.eigvalsh(M[:j, :j])[::-1] for j in range(M.shape[0], 0, -1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       levels=st.lists(st.integers(-3, 3), min_size=1, max_size=3) | st.none(),
+       exponent=st.integers(-300, 306))
+def test_gt_pattern_matches_per_block_eigvalsh(n, seed, levels, exponent):
+    """Batched leading-block spectra against the per-block loop, over sizes
+    on both sides of the batch limit, degenerate spectra (a few repeated
+    levels) and scales from 1e-300 to 1e306. The bound is relative to
+    max|A| alone, so tiny matrices keep their relative accuracy too."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        lam = rng.uniform(-3.0, 3.0, size=n)
+    else:
+        lam = np.array([levels[k % len(levels)] for k in range(n)], dtype=float)
+    U = matrices.haar_unitary(n, rng)
+    A = (U * lam) @ U.conj().T
+    A = 10.0 ** exponent * (0.5 * (A + A.conj().T))
+    P = gt_pattern(A)
+    ref = pattern_by_block(A)
+    assert [len(r) for r in P.rows] == [len(r) for r in ref]
+    dev = max(float(np.max(np.abs(np.array(r) - e))) for r, e in zip(P.rows, ref))
+    assert dev <= 1e-14 * float(np.max(np.abs(A)))
+
+
+@pytest.fixture
+def hermitian_checks(monkeypatch):
+    """Counts check_hermitian calls made through any module that uses it."""
+    calls = []
+    real = matrices.check_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (matrices, gelfand_tsetlin, contraction):
+        monkeypatch.setattr(module, "check_hermitian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A: gt_pattern(A),
+    lambda A: poisson_bracket(OrbitFunction.gt_entry(1, 2), OrbitFunction.gt_entry(2, 3), A),
+    lambda A: contraction.star_action(A, 2, [0.3, -0.4]),
+    lambda A: matrices.eig_hermitian(A),
+    lambda A: matrices.section_sqrt(A @ A),
+], ids=["gt_pattern", "poisson_bracket", "star_action", "eig_hermitian", "section_sqrt"])
+def test_entry_point_validates_once(entry, hermitian_checks):
+    entry(random_orbit_point([3.0, 1.0, -1.0, -2.0], seed=7))
+    assert len(hermitian_checks) == 1
 
 
 class TestValidateInterlacing:
@@ -129,6 +203,19 @@ class TestEnumerate:
             enumerate_gt((top + 6, 5))
         with pytest.raises(InvariantViolation):
             enumerate_gt((0, 0, -top - 1))
+
+    def test_length_and_count_bounded(self, monkeypatch):
+        t0 = time.perf_counter()
+        with pytest.raises(InvariantViolation):
+            enumerate_gt(tuple(range(24, -1, -1)))      # 2^300 patterns
+        with pytest.raises(InvariantViolation):
+            enumerate_gt((0,) * (gelfand_tsetlin.MAX_GT_LENGTH + 1))
+        assert time.perf_counter() - t0 < 1.0
+        assert enumerate_gt((0,) * gelfand_tsetlin.MAX_GT_LENGTH) == 1
+        monkeypatch.setattr(gelfand_tsetlin, "MAX_GT_COUNT", 8)
+        assert enumerate_gt((2, 1, 0)) == 8
+        with pytest.raises(InvariantViolation):
+            enumerate_gt((3, 1, 0))
 
     def test_count_cache_is_bounded(self):
         assert gelfand_tsetlin._count_below.cache_info().maxsize is not None

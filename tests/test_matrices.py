@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mflow import matrices
 from mflow.errors import InvariantViolation, NotPositiveSemidefinite
 from mflow.matrices import (
     adjugate,
@@ -94,6 +95,60 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolation):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def fix_phases_by_column(U):
+    """Reference for matrices._fix_phases: one column at a time."""
+    V = U.copy()
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        if idx.size:
+            z = col[idx[0]]
+            V[:, j] = col * (z.conjugate() / abs(z))
+    return V
+
+
+def blocks_by_index(w, cluster_tol=matrices.CLUSTER_TOL):
+    """Reference for eigenvalue_blocks: indexes numpy scalars."""
+    v = np.asarray(w, dtype=float).ravel()
+    gap = cluster_tol * (1.0 + float(np.max(np.abs(v), initial=0.0)))
+    blocks, lo = [], 0
+    for i in range(1, v.size):
+        if v[lo] - v[i] > gap or v[i - 1] - v[i] > gap:
+            blocks.append((lo, i))
+            lo = i
+    if v.size:
+        blocks.append((lo, v.size))
+    return blocks
+
+
+class TestKernels:
+    def test_fix_phases_matches_column_loop(self):
+        rng = np.random.default_rng(17)
+        cases = [haar_unitary(n, rng) for n in (1, 2, 3, 5, 12)]
+        U = haar_unitary(4, rng)
+        U[0, 1] = 1e-13                 # first component below the threshold
+        U[:2, 2] = 0.0
+        cases.append(U)
+        cases.append(eig_hermitian(np.diag([2.0, 2.0, 1.0]))[1])
+        for U in cases:
+            ref = fix_phases_by_column(U)
+            got = matrices._fix_phases(U)
+            assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(U))
+
+    def test_empty_matrix(self):
+        w, U = eig_hermitian(np.zeros((0, 0)))
+        assert w.shape == (0,) and U.shape == (0, 0)
+
+    def test_eigenvalue_blocks_bit_identical_to_index_loop(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(0, 9))
+            w = np.sort(rng.choice([3.0, 1.0, 1.0 + 1e-9, 0.0, -2.0, -2.0 - 5e-8], size=n))[::-1]
+            w = w + rng.uniform(-1e-9, 1e-9, size=n) * rng.integers(0, 2)
+            w = np.sort(w)[::-1]
+            assert eigenvalue_blocks(w) == blocks_by_index(w)
 
 
 class TestPolar:
