@@ -316,9 +316,22 @@ def polygon_monoid_member(r, integral: bool = True) -> bool:
 _FUSE_CACHE_SIZE = 1 << 16
 
 
+def _counts(c) -> tuple:
+    """The count vector c as a tuple: an int v stands for the unit vector
+    (0,)*v + (1,) of a single subtree weighting with edge value v."""
+    return (0,) * c + (1,) if type(c) is int else c
+
+
 @lru_cache(maxsize=_FUSE_CACHE_SIZE)
-def _fuse(c1: tuple, c2: tuple) -> tuple:
-    """Counts of edge values above a vertex joining subtrees with counts c1, c2."""
+def _fuse(c1, c2):
+    """Counts of edge values above a vertex joining subtrees with counts c1, c2.
+
+    A count vector that is a single 1 at value v (every leaf, and a fusion
+    with a weight-0 leaf) is passed and returned as the int v, so a hit
+    hashes two ints instead of two tuples; every other vector is a tuple
+    whose last entry is nonzero. Each vector has exactly one encoding.
+    """
+    c1, c2 = _counts(c1), _counts(c2)
     out = [0] * (len(c1) + len(c2) - 1)
     for w1, m1 in enumerate(c1):
         if m1:
@@ -326,7 +339,9 @@ def _fuse(c1: tuple, c2: tuple) -> tuple:
                 if m2:
                     for w in range(abs(w1 - w2), w1 + w2 + 1, 2):
                         out[w] += m1 * m2
-    return tuple(out)
+    # the top entry is the product of the operands' nonzero top entries, so
+    # the counts sum to 1 exactly when out is the unit vector at its end
+    return len(out) - 1 if sum(out) == 1 else tuple(out)
 
 
 def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
@@ -334,7 +349,8 @@ def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
     values and every vertex triple satisfying parity and triangle conditions.
 
     Computed by a bottom-up count of admissible subtree weightings per edge
-    value, rooted at leaf 1: one pass of _fuse over the tree's fusion plan.
+    value, rooted at leaf 1: one pass of _fuse over the tree's fusion plan,
+    with each leaf entering as its weight (the unit count vector's int).
     Leaf weights must lie in 0..MAX_WEIGHT.
     """
     plan = tree.fusion_plan
@@ -345,10 +361,12 @@ def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
     if min(r) < 0 or max(r) > MAX_WEIGHT:       # a tree has at least 2 leaves
         raise InvariantViolation(f"leaf weights must be in 0..{MAX_WEIGHT}")
 
-    steps = [(0,) * v + (1,) for v in r[1:]]
+    steps = r[1:]
     for i, j in plan:
         steps.append(_fuse(steps[i], steps[j]))
     c = steps[-1]
+    if type(c) is int:
+        return int(c == r[0])
     return c[r[0]] if r[0] < len(c) else 0
 
 

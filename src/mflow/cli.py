@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -54,9 +55,16 @@ def _chain(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the mflow command line.
+
+    A subcommand's inputs (`--in`, `--weight`, `--tree`, `--r`, one of the
+    `branch` tests) are not argparse-required: `main` demands them unless
+    `--show-config` is given, so showing the configuration needs none.
+    """
     p = argparse.ArgumentParser(prog="mflow", description=__doc__)
     p.add_argument("--show-config", action="store_true",
                    help="print the resolved configuration and exit")
+    p.set_defaults(needs=())
     sub = p.add_subparsers(dest="command")
 
     fields = {f.name: f for f in dataclasses.fields(Config)}
@@ -67,35 +75,39 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag_name(name), type=type(fields[name].default), default=None,
                             dest=name, help=f"overrides {env_var_name(name)}")
 
+    def needs(sp, *groups):
+        """Record the inputs sp runs on: one action of each group."""
+        sp.set_defaults(needs=groups)
+
     sp = sub.add_parser("gt-pattern", help="Gel'fand-Tsetlin pattern of a Hermitian matrix")
-    sp.add_argument("--in", dest="inp", required=True)
+    needs(sp, [sp.add_argument("--in", dest="inp")])
     sp.add_argument("--out", dest="out")
 
     sp = sub.add_parser("flow", help="integrate the determinant gradient flow")
-    sp.add_argument("--in", dest="inp", required=True)
+    needs(sp, [sp.add_argument("--in", dest="inp")])
     sp.add_argument("--out", dest="out")
     sp.add_argument("--samples", type=int, default=None,
                     help="resample the CSV onto a uniform time grid")
     config_flags(sp, "m", "rel_tol", "abs_tol", "det_stop_tol", "max_steps")
 
     sp = sub.add_parser("contract", help="closed-form symplectic contraction of a matrix")
-    sp.add_argument("--in", dest="inp", required=True)
+    needs(sp, [sp.add_argument("--in", dest="inp")])
     sp.add_argument("--out", dest="out")
 
     sp = sub.add_parser("gt-count", help="lattice count of a GT polytope vs the Weyl dimension")
-    sp.add_argument("--weight", type=_int_list, required=True)
+    needs(sp, [sp.add_argument("--weight", type=_int_list)])
 
     sp = sub.add_parser("branch", help="branching-rule membership and multiplicity fixtures")
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--cg", type=_int_list, metavar="R1,R2,...")
-    g.add_argument("--pieri", type=_chain, metavar="ETA:LAMBDA")
-    g.add_argument("--dominance", type=_chain, metavar="LAMBDA:MU")
-    g.add_argument("--polygon-monoid", type=_int_list, metavar="R1,...,RN")
-    g.add_argument("--chain", type=_chain, metavar="W1:W2:...")
+    g = sp.add_mutually_exclusive_group()
+    needs(sp, [g.add_argument("--cg", type=_int_list, metavar="R1,R2,..."),
+               g.add_argument("--pieri", type=_chain, metavar="ETA:LAMBDA"),
+               g.add_argument("--dominance", type=_chain, metavar="LAMBDA:MU"),
+               g.add_argument("--polygon-monoid", type=_int_list, metavar="R1,...,RN"),
+               g.add_argument("--chain", type=_chain, metavar="W1:W2:...")])
 
     sp = sub.add_parser("tree-count", help="lattice points of a tree polytope vs CG multiplicity")
-    sp.add_argument("--tree", required=True, help='Newick string, e.g. "((1,2),(3,4))"')
-    sp.add_argument("--r", type=_int_list, required=True, help="leaf weights by label")
+    needs(sp, [sp.add_argument("--tree", help='Newick string, e.g. "((1,2),(3,4))"')],
+          [sp.add_argument("--r", type=_int_list, help="leaf weights by label")])
 
     sp = sub.add_parser("polygon", help="build a polygon, apply bends, report diagonals")
     sp.add_argument("--r", type=_float_list, help="side lengths")
@@ -243,13 +255,28 @@ _COMMANDS = {
 }
 
 
+def _require_inputs(args) -> None:
+    """Raise ParseError naming the flag when the subcommand lacks an input."""
+    for group in args.needs:
+        if all(getattr(args, a.dest) is None for a in group):
+            flags = ", ".join(a.option_strings[0] for a in group)
+            raise ParseError(f"{args.command} needs {'one of ' if len(group) > 1 else ''}{flags}")
+
+
+# main's parser, built on the first call rather than at import; argparse
+# keeps no state between parse_args calls, so every call may share it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None and not args.show_config:
         parser.print_help()
         return 2
     try:
+        if not args.show_config:
+            _require_inputs(args)
         cfg = load_config(**{f.name: getattr(args, f.name, None)
                              for f in dataclasses.fields(Config)})
         if args.show_config:

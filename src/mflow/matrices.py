@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvariantViolation, NotPositiveSemidefinite
@@ -144,17 +146,27 @@ def eig_hermitian(A, hermitian_tol: float = HERMITIAN_TOL,
     U* A U = diag(w). Within each eigenvalue cluster the basis is
     re-orthonormalized in place (Gram-Schmidt in column order) and each
     column's phase is fixed so the first sizable component is real positive,
-    which makes the output deterministic.
+    which makes the output deterministic. A spectrum that overflows float64
+    is refused with InvariantViolation.
     """
     return _eigh(check_hermitian(A, hermitian_tol), cluster_tol)
 
 
 def _eigh(M: np.ndarray, cluster_tol: float):
-    """eig_hermitian of a matrix that check_hermitian has accepted."""
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
+    """eig_hermitian of a matrix that check_hermitian has accepted.
+
+    The Hermitian part is H + H* with H = 0.5 M: halving a normal float is
+    exact, so this rounds as 0.5 (M + M*) does, but no sum of two entries
+    near the float64 limit overflows. A spectrum that overflows float64
+    raises InvariantViolation.
+    """
+    H = 0.5 * M
+    vals, vecs = np.linalg.eigh(H + H.conj().T)
     w = vals[::-1].copy()
     U = vecs[:, ::-1]
     v = w.tolist()
+    if not all(map(math.isfinite, v)):
+        raise InvariantViolation("matrix spectrum overflows float64")
     if not v:
         return w, U.copy()
     scale = max(abs(v[0]), abs(v[-1]))      # v is sorted

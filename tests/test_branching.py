@@ -58,13 +58,14 @@ def brute_force_tree_count(tree, r):
 
 def recursive_fusions(tree, r):
     """Operand pairs of _fuse in the order of a recursive post-order count
-    rooted at leaf 1, taking each vertex's children in adjacency order."""
+    rooted at leaf 1, taking each vertex's children in adjacency order.
+    A leaf enters as its weight: the int that encodes its unit count vector."""
     adj = tree.adjacency()
     calls = []
 
     def vec(parent, child):
         if child in tree.leaf_labels:
-            return (0,) * r[tree.leaf_labels[child] - 1] + (1,)
+            return r[tree.leaf_labels[child] - 1]
         first, second = (u for u in adj[child] if u != parent)
         pair = (vec(child, first), vec(child, second))
         calls.append(pair)
@@ -73,6 +74,30 @@ def recursive_fusions(tree, r):
     root = tree.vertex_of_label(1)
     vec(root, adj[root][0])
     return calls
+
+
+def as_tuple(c):
+    """A count vector in the tuple form: the int v is (0,)*v + (1,)."""
+    return (0,) * c + (1,) if isinstance(c, int) else c
+
+
+def fuse_by_definition(c1, c2):
+    """Counts of the values w admissible with w1 and w2 (parity and triangle
+    conditions), summed over every pair of values of c1 and c2."""
+    out = [0] * (len(c1) + len(c2) - 1)
+    for w1, w2 in product(range(len(c1)), range(len(c2))):
+        for w in range(len(out)):
+            if cg_admissible(w1, w2, w):
+                out[w] += c1[w1] * c2[w2]
+    return tuple(out)
+
+
+@st.composite
+def count_vectors(draw):
+    """A count vector in its one encoding: the int v for the unit vector at
+    v, else a tuple of nonnegative counts with a nonzero last entry."""
+    c = tuple(draw(st.lists(st.integers(0, 3), max_size=6))) + (draw(st.integers(1, 3)),)
+    return len(c) - 1 if sum(c) == 1 else c
 
 
 @st.composite
@@ -294,6 +319,34 @@ class TestTreePolytopeCount:
             calls.clear()
             tree_polytope_count(t, r)
             assert calls == want
+
+    def test_sweep_cache_counts_pinned(self):
+        # every tree on 4..6 leaves, every admissible weight with entries <= 2;
+        # the hits and misses are those of the tuple encoding, so the leaf
+        # encoding renames the cache keys without changing them
+        branching._fuse.cache_clear()
+        total = 0
+        for n in (4, 5, 6):
+            trees = enumerate_trivalent_trees(n)
+            for r in product(range(3), repeat=n):
+                if polygon_monoid_member(r):
+                    total += sum(tree_polytope_count(t, r) for t in trees)
+        info = branching._fuse.cache_info()
+        assert (info.hits, info.misses, total) == (156_153, 114, 105_828)
+
+    @PROPERTY
+    @given(count_vectors(), count_vectors())
+    @example(0, 0)
+    @example(0, (1, 0, 1))
+    @example(2, 2)
+    def test_fuse_encodes_unit_vectors_as_ints(self, c1, c2):
+        got = branching._fuse(c1, c2)
+        want = fuse_by_definition(as_tuple(c1), as_tuple(c2))
+        assert as_tuple(got) == want
+        assert isinstance(got, int) == (sum(want) == 1)
+        # an int operand v acts as the tuple (0,)*v + (1,); the uncached
+        # body is called so that no tuple-form unit vector enters the cache
+        assert branching._fuse.__wrapped__(as_tuple(c1), as_tuple(c2)) == got
 
     def test_deep_caterpillar_counts(self):
         # depth 1498: far past the interpreter's recursion limit

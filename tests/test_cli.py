@@ -360,6 +360,45 @@ class TestCli:
         assert main(["--show-config", "flow", "--in", "B.json", "--tol-rel", "1e-6"]) == 0
         assert "rel_tol = 1e-06" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["flow", "verify", "tree-count", "branch", "gt-pattern"])
+    def test_show_config_needs_no_inputs(self, command, capsys):
+        assert main(["--show-config", command]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "m = 1" and "seed = 0" in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["flow", "--m", "2"], "--in"),
+        (["gt-pattern"], "--in"),
+        (["contract", "--out", "C.json"], "--in"),
+        (["gt-count"], "--weight"),
+        (["tree-count", "--r", "1,1"], "--tree"),
+        (["tree-count", "--tree", "(1,2)"], "--r"),
+        (["branch"], "--polygon-monoid"),
+    ])
+    def test_missing_input_exit_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError") and flag in err
+
+    def test_show_config_out_of_range_override_exit_1(self, capsys):
+        assert main(["--show-config", "flow", "--m", "0"]) == 1
+        assert capsys.readouterr().err.startswith("InvariantViolation")
+
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        src = str(tmp_path / "B.json")
+        serialize.save_matrix(src, np.diag([2.0, 0.5]))
+        assert main(["flow", "--in", src, "--m", "2"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--in", src, "--m", "two"])
+        assert exc.value.code == 2
+        assert main(["flow", "--m", "3"]) == 2
+        capsys.readouterr()
+        assert main(["--show-config", "flow"]) == 0
+        assert "m = 1" in capsys.readouterr().out.splitlines()
+        # main builds its parser once; build_parser still returns a new one
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
     @pytest.mark.parametrize("argv", [
         ["gt-count", "--weight", "2,1,0", "--tol-rel", "5"],
         ["contract", "--in", "B.json", "--seed", "1"],

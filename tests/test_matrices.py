@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,26 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolation):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_entries_near_float64_limit(self):
+        # the sum M + M* of these entries overflows; the eigenvalues of M are
+        # +-sqrt(3.25) 1e308, beyond float64, and those of 0.1 M are not
+        M = np.array([[1e308, 1.5e308], [1.5e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, U = eig_hermitian(0.1 * M)
+            assert np.all(np.isfinite(U))
+            with pytest.raises(InvariantViolation):
+                eig_hermitian(M)
+        assert np.allclose(w, [1.8028e307, -1.8028e307], rtol=1e-4, atol=0.0)
+
+    def test_hermitian_part_rounds_as_halved_sum(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 9):
+            A = random_hermitian(n, rng) + 1e-12 * rng.standard_normal((n, n))
+            w, _ = eig_hermitian(A)
+            ref = np.linalg.eigh(0.5 * (A + A.conj().T))[0][::-1]
+            assert w.tobytes() == ref.tobytes()
 
 
 def fix_phases_by_column(U):
