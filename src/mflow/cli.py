@@ -233,14 +233,9 @@ def cmd_polygon(args, cfg) -> int:
 
 def cmd_verify(args, cfg) -> int:
     results = run_all(seed=cfg.seed)
-    ok = True
-    for name, passed, detail in results:
-        if passed:
-            print(f"PASS {name}")
-        else:
-            ok = False
-            print(f"FAIL {name}: {detail}")
-    return 0 if ok else 1
+    for r in results:
+        print(f"PASS {r.name} {r.numbers}" if r.passed else f"FAIL {r.name}: {r.detail} {r.numbers}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 _COMMANDS = {

@@ -142,7 +142,7 @@ def flow_closed_form(B, s: float) -> np.ndarray:
     """
     M = check_positive_det(B)
     if not math.isfinite(s):
-        raise InvariantViolation(f"flow time must be finite, got {s!r}")
+        raise InvariantViolation(f"flow time must be finite, got {float(s)}")
     W, sigma, Vh = np.linalg.svd(M)
     d0 = float(np.prod(sigma))
     if s >= d0:
@@ -235,6 +235,8 @@ def star_action(A, level: int, phases,
     theta = np.asarray(phases, dtype=float).ravel()
     if theta.size != j:
         raise InvariantViolation(f"need {j} phases for level {j}, got {theta.size}")
+    if not np.isfinite(theta).all():
+        raise InvariantViolation("phases must be finite")
     sub = M[:j, :j]
     w, U = _eigh(sub, cluster_tol)
     scale = 1.0 + float(np.max(np.abs(w), initial=0.0))

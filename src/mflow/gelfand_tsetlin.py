@@ -317,6 +317,8 @@ def poisson_bracket(f: OrbitFunction, g: OrbitFunction, A,
 def random_orbit_point(spectrum, seed: int) -> np.ndarray:
     """Haar-conjugated point U diag(spectrum) U* of the coadjoint orbit."""
     lam = np.asarray(spectrum, dtype=float).ravel()
+    if not np.isfinite(lam).all():
+        raise InvariantViolation("spectrum must be finite")
     U = haar_unitary(lam.size, np.random.default_rng(seed))
     A = (U * lam) @ U.conj().T
     return 0.5 * (A + A.conj().T)

@@ -41,6 +41,8 @@ class PolygonConfig:
         E = np.asarray(self.edges, dtype=float)
         if E.ndim != 2 or E.shape[1] != 3 or E.shape[0] < 3:
             raise InvariantViolation(f"expected an (n, 3) edge array, n >= 3, got {E.shape}")
+        if not np.isfinite(E).all():
+            raise InvariantViolation("edges must be finite")
         object.__setattr__(self, "edges", E)
         norms = np.linalg.norm(E, axis=1)
         closure = np.linalg.norm(E.sum(axis=0))
@@ -183,12 +185,15 @@ def bend(P: PolygonConfig, diagonal, theta: float) -> PolygonConfig:
     disjoint from this one are preserved.
     """
     run = _as_run(diagonal, P.n)
+    theta = float(theta)
+    if not np.isfinite(theta):
+        raise InvariantViolation(f"bending angle must be finite, got {theta}")
     idx = np.array(run) - 1
     axis = P.edges[idx].sum(axis=0)
     nrm = np.linalg.norm(axis)
     if nrm <= BEND_FLOOR:
         raise UndefinedBendAxis(f"diagonal {run} has zero length; no bending axis")
-    R = _rodrigues(axis / nrm, float(theta))
+    R = _rodrigues(axis / nrm, theta)
     edges = P.edges.copy()
     edges[idx] = edges[idx] @ R.T
     # re-pin the closure: rotation fixes the run sum exactly up to rounding

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import mflow
 from mflow import serialize
 from mflow import cli
+from mflow import verify
 from mflow.cli import main
 from mflow.config import Config, env_var_name, flag_name
 from mflow.errors import DomainError, ParseError
@@ -124,6 +125,49 @@ def test_json_loader_fuzz_raises_only_documented_errors(obj):
             load(obj)
         except (ParseError, DomainError):
             pass
+
+
+_SQUARE = mflow.PolygonConfig(np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float))
+_I64, _F64 = np.int64, np.float64
+
+
+# Each call refuses numpy scalar arguments; its message must show them as
+# plain numbers, not as their repr (`np.float64(nan)`).
+@pytest.mark.parametrize("call", [
+    lambda: mflow.flow_closed_form(np.eye(2), _F64("nan")),
+    lambda: mflow.flow_closed_form(np.eye(2), _F64("inf")),
+    lambda: mflow.star_action(np.diag([3.0, 2.0, 1.0]), _I64(5), [0.0]),
+    lambda: mflow.star_action(np.diag([3.0, 2.0, 1.0]), _I64(1), [_F64("nan")]),
+    lambda: mflow.OrbitFunction.gt_entry(_I64(0), _I64(1)),
+    lambda: mflow.build_polygon(np.ones(4), np.array([3.0]), np.zeros(1)),
+    lambda: mflow.bend(_SQUARE, [_I64(1), _I64(9)], 0.1),
+    lambda: mflow.bend(_SQUARE, [_I64(1), _I64(3)], 0.1),
+    lambda: mflow.bend(_SQUARE, [1, 2], _F64("inf")),
+    lambda: mflow.Triangulation(_I64(5), ((_I64(1), _I64(2)), (_I64(2), _I64(3)))),
+    lambda: mflow.pieri_admissible(np.array([1, 2]), np.array([3, 2, 1])),
+    lambda: mflow.pieri_admissible(np.array([1]), np.array([3, 2, 1])),
+    lambda: mflow.cg_multiplicity([_I64(1), _I64(-1)]),
+    lambda: mflow.fiber_chain_member([np.array([1]), np.array([3, 2, 1])]),
+    lambda: mflow.parse_newick("((1,2),(3,4))").vertex_of_label(_I64(9)),
+    lambda: mflow.random_orbit_point([1.0, _F64("nan")], seed=1),
+    lambda: mflow.integrate_flow(np.diag([2.0, 0.5]), mflow.Config(max_steps=1)),
+])
+def test_messages_show_numpy_scalars_as_plain_numbers(call):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert "np." not in str(err.value)
+
+
+# The check names `mflow verify` printed before it printed measurements; a
+# script that matches on them must keep finding each one.
+_VERIFY_NAMES = [
+    "eig-reconstruction", "eig-determinism", "polar-consistency", "section-momentum-round-trip",
+    "adjugate-identity", "flow-decay-law", "flow-momentum-conservation", "flow-equivariance",
+    "vfield-unit-rate", "contraction-matches-flow", "contraction-momentum", "same-fiber-cases",
+    "star-action-preserves-pattern", "gt-count-identity", "gt-interlacing",
+    "gt-poisson-commutativity", "tree-cg-identity", "chain-pattern-equivalence",
+    "polygon-monoid-closure", "bending-invariance", "bending-commutativity", "build-polygon-fiber",
+]
 
 
 class TestCli:
@@ -429,9 +473,23 @@ class TestCli:
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 20
+        lines = capsys.readouterr().out.splitlines()
+        names = [m.name for m in verify.run_all(seed=0)]
+        assert set(_VERIFY_NAMES) <= set(names)
+        assert len(lines) == len(names)
+        for name in names:
+            hits = [line for line in lines if line.startswith(f"PASS {name} ")]
+            assert len(hits) == 1, (name, hits)
+            fields = dict(field.split("=") for field in hits[0].split()[2:])
+            assert sorted(fields) == ["bound", "margin", "measured"]
+            assert all(np.isfinite(float(v)) for v in fields.values())
+
+    def test_verify_output_is_deterministic(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["verify", "--seed", "3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_verify_fails_under_python_O(self):
         # python -O strips assert statements; a broken adjugate must still

@@ -96,6 +96,9 @@ class TestClosedForm:
             flow_closed_form(np.diag([1.0, -1.0]), 0.5)
         with pytest.raises(InvariantViolation):
             flow_closed_form(np.eye(2), float("nan"))
+        with pytest.raises(InvariantViolation) as err:
+            flow_closed_form(np.eye(2), np.float64("nan"))
+        assert str(err.value) == "flow time must be finite, got nan"
 
     def test_momentum_preserved(self):
         rng = np.random.default_rng(79)
@@ -241,6 +244,12 @@ class TestStarAction:
         A = np.diag([2.0, 2.0, 1.0])
         with pytest.raises(PrincipalStratumViolation):
             star_action(A, 2, [0.1, 0.2])
+
+    @pytest.mark.parametrize("phases", [[np.nan], [np.inf], [-np.inf]])
+    def test_non_finite_phases_refused(self, phases):
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(InvariantViolation, match="finite"):
+            star_action(A, 1, phases)
 
 
 class TestTypes:

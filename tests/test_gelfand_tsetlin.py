@@ -302,3 +302,8 @@ class TestRandomOrbitPoint:
     def test_different_seeds_differ(self):
         lam = [1.0, 0.0]
         assert not np.allclose(random_orbit_point(lam, 1), random_orbit_point(lam, 2))
+
+    @pytest.mark.parametrize("lam", [[1.0, np.nan], [np.inf, 0.0], [1.0, -np.inf]])
+    def test_non_finite_spectrum_refused(self, lam):
+        with pytest.raises(InvariantViolation, match="finite"):
+            random_orbit_point(lam, seed=1)

@@ -11,6 +11,7 @@ from mflow.polygons import (
     diagonal_lengths,
     measure_caterpillar,
 )
+from mflow.serialize import polygon_from_json
 
 
 def random_closed_polygon(n, rng):
@@ -148,6 +149,12 @@ class TestBend:
         b = bend(bend(P, d2, -0.5), d1, 0.8)
         assert np.max(np.abs(a.edges - b.edges)) < 1e-9
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_refused(self, theta):
+        P = random_closed_polygon(5, np.random.default_rng(3))
+        with pytest.raises(InvariantViolation, match="finite"):
+            bend(P, [1, 2], theta)
+
     def test_zero_axis_rejected(self):
         rng = np.random.default_rng(197)
         P = random_closed_polygon(5, rng)
@@ -160,6 +167,20 @@ class TestPolygonConfig:
         E = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         with pytest.raises(InvariantViolation):
             PolygonConfig(E)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_edges_refused(self, bad):
+        E = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
+        E[1, 2] = bad
+        with pytest.raises(InvariantViolation, match="finite"):
+            PolygonConfig(E)
+        with pytest.raises(InvariantViolation, match="finite"):
+            PolygonConfig(np.full((4, 3), bad))
+
+    def test_loader_refuses_non_finite_edges(self):
+        with pytest.raises(InvariantViolation, match="finite"):
+            polygon_from_json({"edges": [[1.0, 0.0, 0.0], [float("nan"), 1.0, 0.0],
+                                         [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]})
 
     def test_degenerate_edge_flag(self):
         E = np.array([[1, 0, 0], [0, 0, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
