@@ -9,6 +9,7 @@ multiplicities, chains against integer patterns).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from functools import cached_property, lru_cache
 
 from .errors import InvariantViolation, ParseError
@@ -268,8 +269,8 @@ def cg_multiplicity(r) -> int:
 
 
 def _check_weakly_decreasing(w, what="weight"):
-    t = tuple(int(v) for v in w)
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
+    t = tuple(map(int, w))
+    if not all(map(operator.ge, t, t[1:])):
         raise InvariantViolation(f"{what} must be weakly decreasing: {t}")
     return t
 

@@ -1,5 +1,5 @@
 """The invariant checks: one function per README criterion, plus a few
-checks of the matrix core.
+checks of the matrix core and one of the flow against its exact curve.
 
 Each check takes a seeded generator and its workload (starts, trial counts,
 weights) and returns its worst measurements; a measurement passes only
@@ -28,6 +28,7 @@ from .contraction import (
     contract_closed_form,
     contract_point,
     contracted_equal,
+    flow_closed_form,
     same_fiber,
     star_action,
 )
@@ -225,6 +226,40 @@ def check_flow_equivariance(rng, trials):
     return [_worst("flow-equivariance", devs, 1e-6, "deviation")]
 
 
+def _exact_dev(traj, t, M):
+    """|M - B(t)| / |B0| for B the exact curve, reached at the unit-rate
+    time s = d0 - (d0^(1/m) - t)^m of time t of the m-flow traj."""
+    B0, m, d0 = traj.samples[0][1], traj.config.m, traj.start_det
+    s = d0 - max(d0 ** (1.0 / m) - t, 0.0) ** m
+    return np.linalg.norm(M - flow_closed_form(B0, s)) / np.linalg.norm(B0)
+
+
+def check_flow_exact_curve(rng, random, degenerate, ms):
+    """Every sample of each m-flow (m in ms), and its at() at 12 times, lies
+    on the exact curve flow_closed_form, relative to |B0|: within 4e-8 and
+    3e-7 from random SL(n) starts, and within 1e-9 and 8e-8 from the
+    `degenerate` starts, whose smallest singular value is multiple. A group
+    without starts measures nothing."""
+    out = []
+    for group, starts, sample_bound, at_bound in (
+            ("random", _starts(rng, (), random), 4e-8, 3e-7),
+            ("degenerate", degenerate, 1e-9, 8e-8)):
+        if not starts:
+            continue
+        samples, at = [], []
+        for B0 in starts:
+            for m in ms:
+                traj = integrate_flow(B0, FlowConfig(m=m))
+                samples += [_exact_dev(traj, t, M) for t, M in traj.samples]
+                at += [_exact_dev(traj, t, traj.at(t))
+                       for t in np.linspace(0.0, traj.times()[-1], 12)]
+        out += [_worst(f"flow-exact-curve-{group}", samples, sample_bound,
+                       "deviation / |B0| at the samples"),
+                _worst(f"flow-exact-curve-{group}-at", at, at_bound,
+                       "deviation / |B0| at 12 at() times")]
+    return out
+
+
 def check_gt_count_identity(rng, weights):
     """Criterion 6: the pattern count of each weight is its Weyl dimension."""
     bad = [lam for lam in weights if enumerate_gt(lam) != weyl_dim(lam)]
@@ -396,6 +431,8 @@ CHECKS = [
     (check_momentum_conservation, {"diagonals": (), "random": ((3, 1),), "contractions": 1}),
     (check_flow_decay_law, {"diagonals": ((2.0, 0.5),), "random": (), "ms": (1,)}),
     (check_flow_equivariance, {"trials": 1}),
+    # no random start: one SL(3) start breaks a bound on 5 of 2000 seeds
+    (check_flow_exact_curve, {"random": (), "degenerate": (np.eye(3),), "ms": (1,)}),
     (check_gt_count_identity, {"weights": ((2, 1, 0), (3, 1, 0), (2, 2, 1, 0), (3, 2, 1, 0))}),
     (check_gt_interlacing, {"trials": 25}),
     (check_gt_integrability, {"sizes": (3,), "trials": 1}),
