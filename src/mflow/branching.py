@@ -77,10 +77,6 @@ class TreeGraph:
             adj.setdefault(v, []).append(u)
         return adj
 
-    def leaves(self) -> list:
-        adj = self.adjacency()
-        return [v for v in adj if len(adj[v]) == 1]
-
     def internal_vertices(self) -> list:
         adj = self.adjacency()
         return [v for v in adj if len(adj[v]) > 1]
@@ -291,11 +287,9 @@ def _interlaces(eta: tuple, lam: tuple) -> bool:
     return all(lam[i] >= eta[i] >= lam[i + 1] for i in range(len(eta)))
 
 
-def polygon_monoid_member(r, integral: bool = True) -> bool:
-    """Membership of r in the polygon side-length monoid (or its real cone).
-
-    Integral mode: nonnegative integers with even sum and every entry at most
-    the sum of the others. Cone mode: real entries, triangle conditions only.
+def polygon_monoid_member(r) -> bool:
+    """Membership of r in the polygon side-length monoid: nonnegative
+    integers with even sum and every entry at most the sum of the others.
     """
     vals = list(r)
     if any(v < 0 for v in vals):
@@ -303,8 +297,6 @@ def polygon_monoid_member(r, integral: bool = True) -> bool:
     total = sum(vals)
     if any(2 * v > total for v in vals):
         return False
-    if not integral:
-        return True
     ints = [int(v) for v in vals]
     if ints != vals:
         raise InvariantViolation("integral membership needs integer entries")

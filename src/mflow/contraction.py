@@ -83,8 +83,8 @@ class BlockPartition:
         return self.blocks[-1][1] if self.blocks else 0
 
 
-def partition_from_spectrum(w, cluster_tol: float = CLUSTER_TOL) -> BlockPartition:
-    blocks = tuple(eigenvalue_blocks(w, cluster_tol))
+def partition_from_spectrum(w) -> BlockPartition:
+    blocks = tuple(eigenvalue_blocks(w))
     values = tuple(float(np.mean(w[lo:hi])) for lo, hi in blocks)
     return BlockPartition(blocks, values)
 
@@ -160,13 +160,12 @@ def flow_closed_form(B, s: float) -> np.ndarray:
     return (W * np.sqrt(g + math.exp(y))) @ Vh
 
 
-def contract_point(x: CotangentPoint,
-                   cluster_tol: float = CLUSTER_TOL) -> ContractedPoint:
+def contract_point(x: CotangentPoint) -> ContractedPoint:
     """Normal form (w, g, blocks) with h v h* = diag(w) and g = k h*."""
-    w, U = _eigh(x.v, cluster_tol)
+    w, U = _eigh(x.v)
     # h = U* diagonalizes v, so g = k h* = k U.
     g = x.k @ U
-    return ContractedPoint(w, g, partition_from_spectrum(w, cluster_tol))
+    return ContractedPoint(w, g, partition_from_spectrum(w))
 
 
 def _block_special_unitary_defect(C: np.ndarray, partition: BlockPartition) -> float:
@@ -184,8 +183,7 @@ def _block_special_unitary_defect(C: np.ndarray, partition: BlockPartition) -> f
     return max(defect, float(off))
 
 
-def same_fiber(x: CotangentPoint, y: CotangentPoint, tol: float,
-               cluster_tol: float = CLUSTER_TOL) -> bool:
+def same_fiber(x: CotangentPoint, y: CotangentPoint, tol: float) -> bool:
     """Whether x and y are collapsed to one point by the contraction.
 
     True iff the momenta agree (max|v_x - v_y| <= tol) and, with h the sorted
@@ -197,8 +195,8 @@ def same_fiber(x: CotangentPoint, y: CotangentPoint, tol: float,
         return False
     if np.max(np.abs(x.v - y.v)) > tol:
         return False
-    w, U = _eigh(x.v, cluster_tol)
-    partition = partition_from_spectrum(w, cluster_tol)
+    w, U = _eigh(x.v)
+    partition = partition_from_spectrum(w)
     C = U.conj().T @ (x.k.conj().T @ y.k) @ U
     return _block_special_unitary_defect(C, partition) <= tol
 
@@ -218,8 +216,7 @@ def contracted_equal(a: ContractedPoint, b: ContractedPoint, tol: float) -> bool
     return _block_special_unitary_defect(C, a.partition) <= tol
 
 
-def star_action(A, level: int, phases,
-                cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
+def star_action(A, level: int, phases) -> np.ndarray:
     """Torus action at one level of the nested-subgroup chain.
 
     Conjugates A by C = (h* diag(e^{i phases}) h) + I, where h diagonalizes
@@ -238,9 +235,9 @@ def star_action(A, level: int, phases,
     if not np.isfinite(theta).all():
         raise InvariantViolation("phases must be finite")
     sub = M[:j, :j]
-    w, U = _eigh(sub, cluster_tol)
+    w, U = _eigh(sub)
     scale = 1.0 + float(np.max(np.abs(w), initial=0.0))
-    if j > 1 and np.min(-np.diff(w)) <= cluster_tol * scale:
+    if j > 1 and np.min(-np.diff(w)) <= CLUSTER_TOL * scale:
         raise PrincipalStratumViolation(
             f"leading {j}x{j} submatrix has a degenerate eigenvalue")
     C = np.eye(n, dtype=complex)

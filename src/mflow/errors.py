@@ -18,7 +18,7 @@ class InvariantViolation(DomainError):
 
 
 class NotPositiveSemidefinite(DomainError):
-    """Matrix has an eigenvalue below -psd_tol where a PSD matrix is required."""
+    """Matrix has an eigenvalue below -PSD_TOL (1 + |H|) where a PSD matrix is required."""
 
 
 class SingularLocus(DomainError):

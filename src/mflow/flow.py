@@ -140,11 +140,11 @@ def grad_re_det(A) -> np.ndarray:
     return adjugate(A).conj().T
 
 
-def _field(B: np.ndarray, m: int, grad_floor: float):
+def _field(B: np.ndarray, m: int):
     """Field value and Re det at B (Re det clamped at 0 for m > 1)."""
     adj = adjugate(B)
     gn2 = float(np.vdot(adj, adj).real)
-    if math.sqrt(gn2) <= grad_floor:
+    if math.sqrt(gn2) <= GRAD_FLOOR:
         raise SingularLocus("gradient of Re det vanished; vector field undefined")
     # B adj(B) = det(B) I: one entry of it is one row of the Laplace expansion
     re_det = float((B[0] @ adj[:, 0]).real)
@@ -159,12 +159,12 @@ def _rescale(V: np.ndarray, re_det: float, m: int) -> np.ndarray:
     return V * (m * max(re_det, 0.0) ** (1.0 - 1.0 / m))
 
 
-def vfield(A, m: int = 1, grad_floor: float = GRAD_FLOOR) -> np.ndarray:
+def vfield(A, m: int = 1) -> np.ndarray:
     """Normalized downhill field: -grad/|grad|^2 times m (Re det)^(1 - 1/m).
 
     m = 1 is the unit-rate normalization with <V, grad Re det> = -1.
     """
-    V, re_det = _field(as_complex_matrix(A), m, grad_floor)
+    V, re_det = _field(as_complex_matrix(A), m)
     if m < 1:
         raise InvariantViolation("normalization index m must be >= 1")
     if m > 1 and re_det < 0.0:
@@ -221,8 +221,7 @@ def _time_exponent(B0: np.ndarray) -> int:
     return hi - lo
 
 
-def integrate_flow(B0, cfg: Config | None = None,
-                   grad_floor: float = GRAD_FLOOR) -> FlowTrajectory:
+def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     """Integrate the normalized gradient flow from B0 down to det = 0.
 
     B0 must have real positive determinant (det = 1 for SL(n) starts). The
@@ -267,7 +266,7 @@ def integrate_flow(B0, cfg: Config | None = None,
         """The m = 1 field, the k-field and Re det at B."""
         nonlocal rhs_calls
         rhs_calls += 1
-        V, d = _field(B, 1, grad_floor)
+        V, d = _field(B, 1)
         return V, (V if k == 1 else _rescale(V, d, k)), d
 
     def root(d):

@@ -58,10 +58,6 @@ class GTPattern:
         """Row at chain level j (1-based, length j)."""
         return self.rows[self.n - level]
 
-    def entry(self, i: int, j: int):
-        """Pattern entry x_{i,j}: i-th value (1-based) of the level-j row."""
-        return self.row(j)[i - 1]
-
     def top(self) -> tuple:
         return self.rows[0]
 
@@ -280,10 +276,10 @@ class OrbitFunction:
         vals = np.linalg.eigvalsh(M[: self.j, : self.j])[::-1]
         return float(vals[self.i - 1])
 
-    def gradient(self, A, cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
-        return self._gradient(check_hermitian(A), cluster_tol)
+    def gradient(self, A) -> np.ndarray:
+        return self._gradient(check_hermitian(A))
 
-    def _gradient(self, M: np.ndarray, cluster_tol: float) -> np.ndarray:
+    def _gradient(self, M: np.ndarray) -> np.ndarray:
         """gradient at a matrix that check_hermitian has accepted."""
         n = M.shape[0]
         if self.kind == "linear":
@@ -292,8 +288,8 @@ class OrbitFunction:
             return self.H
         if self.j > n:
             raise InvariantViolation(f"level {self.j} exceeds dimension {n}")
-        w, U = _eigh(M[: self.j, : self.j], cluster_tol)
-        gap = cluster_tol * (1.0 + max(abs(w[0]), abs(w[-1])))     # w is sorted
+        w, U = _eigh(M[: self.j, : self.j])
+        gap = CLUSTER_TOL * (1.0 + max(abs(w[0]), abs(w[-1])))     # w is sorted
         i = self.i - 1
         if (i > 0 and w[i - 1] - w[i] <= gap) or (i + 1 < w.size and w[i] - w[i + 1] <= gap):
             raise PrincipalStratumViolation(
@@ -304,12 +300,11 @@ class OrbitFunction:
         return G
 
 
-def poisson_bracket(f: OrbitFunction, g: OrbitFunction, A,
-                    cluster_tol: float = CLUSTER_TOL) -> float:
+def poisson_bracket(f: OrbitFunction, g: OrbitFunction, A) -> float:
     """Kostant-Kirillov bracket <A, i[grad f, grad g]> at the point A."""
     M = check_hermitian(A)
-    Gf = f._gradient(M, cluster_tol)
-    Gg = g._gradient(M, cluster_tol)
+    Gf = f._gradient(M)
+    Gg = g._gradient(M)
     comm = Gf @ Gg - Gg @ Gf
     return float(np.trace(M @ (1j * comm)).real)
 

@@ -24,7 +24,6 @@ __all__ = [
     "check_hermitian",
     "check_unitary",
     "check_positive_det",
-    "check_spectrum",
     "eig_hermitian",
     "eigenvalue_blocks",
     "polar_decompose",
@@ -52,21 +51,22 @@ def as_complex_matrix(A) -> np.ndarray:
     return M
 
 
-def check_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate max|A - A*| <= tol * (1 + max|A|) and return A as ndarray."""
+def check_hermitian(A) -> np.ndarray:
+    """Validate max|A - A*| <= HERMITIAN_TOL (1 + max|A|) and return A as
+    ndarray."""
     M = as_complex_matrix(A)
     scale = 1.0 + np.abs(M).max(initial=0.0)
     dev = np.abs(M - M.conj().T).max(initial=0.0)
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise InvariantViolation(f"matrix is not Hermitian: max|A - A*| = {dev:.3e}")
     return M
 
 
-def check_unitary(U, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate max|U*U - I| <= tol and return U as ndarray."""
+def check_unitary(U) -> np.ndarray:
+    """Validate max|U*U - I| <= UNITARY_TOL and return U as ndarray."""
     M = as_complex_matrix(U)
     dev = np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise InvariantViolation(f"matrix is not unitary: max|U*U - I| = {dev:.3e}")
     return M
 
@@ -82,25 +82,15 @@ def check_positive_det(A) -> np.ndarray:
     return M
 
 
-def check_spectrum(w) -> np.ndarray:
-    """Validate a weakly decreasing real vector."""
-    v = np.asarray(w, dtype=float).ravel()
-    if v.size and np.any(np.diff(v) > 0):
-        raise InvariantViolation("spectrum is not weakly decreasing")
-    return v
-
-
-def eigenvalue_blocks(w, cluster_tol: float = CLUSTER_TOL, scale: float | None = None):
+def eigenvalue_blocks(w):
     """Partition a weakly decreasing spectrum into clusters of nearly equal values.
 
     Returns a list of (lo, hi) index ranges (hi exclusive). Two consecutive
     eigenvalues belong to one block when they differ by at most
-    cluster_tol * (1 + scale); scale defaults to max|w|.
+    CLUSTER_TOL (1 + max|w|).
     """
     v = np.asarray(w, dtype=float).ravel().tolist()
-    if scale is None:
-        scale = max(map(abs, v), default=0.0)
-    return _blocks(v, cluster_tol * (1.0 + scale))
+    return _blocks(v, CLUSTER_TOL * (1.0 + max(map(abs, v), default=0.0)))
 
 
 def _blocks(v: list, gap: float) -> list:
@@ -138,8 +128,7 @@ def _gram_schmidt(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian(A, hermitian_tol: float = HERMITIAN_TOL,
-                  cluster_tol: float = CLUSTER_TOL):
+def eig_hermitian(A):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, U) with w weakly decreasing and U unitary such that
@@ -149,10 +138,10 @@ def eig_hermitian(A, hermitian_tol: float = HERMITIAN_TOL,
     which makes the output deterministic. A spectrum that overflows float64
     is refused with InvariantViolation.
     """
-    return _eigh(check_hermitian(A, hermitian_tol), cluster_tol)
+    return _eigh(check_hermitian(A))
 
 
-def _eigh(M: np.ndarray, cluster_tol: float):
+def _eigh(M: np.ndarray):
     """eig_hermitian of a matrix that check_hermitian has accepted.
 
     The Hermitian part is H + H* with H = 0.5 M: halving a normal float is
@@ -170,7 +159,7 @@ def _eigh(M: np.ndarray, cluster_tol: float):
     if not v:
         return w, U.copy()
     scale = max(abs(v[0]), abs(v[-1]))      # v is sorted
-    for lo, hi in _blocks(v, cluster_tol * (1.0 + scale)):
+    for lo, hi in _blocks(v, CLUSTER_TOL * (1.0 + scale)):
         if hi - lo > 1:
             U[:, lo:hi] = _gram_schmidt(U[:, lo:hi])
     return w, _fix_phases(U)
@@ -228,18 +217,14 @@ def adjugate(A) -> np.ndarray:
     return np.linalg.det(W @ Vh) * ((Vh.conj().T * others) @ W.conj().T)
 
 
-def momentum_right(B, traceless_part: bool = False) -> np.ndarray:
+def momentum_right(B) -> np.ndarray:
     """Right momentum of B under the dropped-i identification: B*B.
 
-    With traceless_part=True, returns the su(n)* component
-    B*B - (tr(B*B)/n) I.
+    Its su(n)* component is traceless(momentum_right(B)).
     """
     M = as_complex_matrix(B)
     H = M.conj().T @ M
-    H = 0.5 * (H + H.conj().T)
-    if traceless_part:
-        return traceless(H)
-    return H
+    return 0.5 * (H + H.conj().T)
 
 
 def traceless(H) -> np.ndarray:
@@ -248,14 +233,14 @@ def traceless(H) -> np.ndarray:
     return M - (np.trace(M) / n) * np.eye(n)
 
 
-def section_sqrt(H, psd_tol: float = PSD_TOL):
+def section_sqrt(H):
     """Principal PSD square root: the momentum-map section on PSD matrices.
 
-    Eigenvalues within psd_tol * (1 + |H|) of zero are clamped to zero; an
+    Eigenvalues within PSD_TOL (1 + |H|) of zero are clamped to zero; an
     eigenvalue below that margin raises NotPositiveSemidefinite.
     """
-    w, U = _eigh(check_hermitian(H), CLUSTER_TOL)
-    margin = psd_tol * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+    w, U = _eigh(check_hermitian(H))
+    margin = PSD_TOL * (1.0 + float(np.max(np.abs(w), initial=0.0)))
     if w.size and w[-1] < -margin:
         raise NotPositiveSemidefinite(
             f"eigenvalue {w[-1]:.3e} below -{margin:.3e}")

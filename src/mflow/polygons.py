@@ -74,15 +74,10 @@ def _as_run(diagonal, n) -> tuple:
 
 @dataclasses.dataclass(frozen=True)
 class Triangulation:
-    """Diagonals of a model n-gon as contiguous edge runs, nested or disjoint.
-
-    The dual trivalent tree, when supplied, is carried along for fixtures but
-    not consulted by the geometry.
-    """
+    """Diagonals of a model n-gon as contiguous edge runs, nested or disjoint."""
 
     n: int
     diagonals: tuple
-    tree: object = None
 
     def __post_init__(self):
         runs = tuple(_as_run(d, self.n) for d in self.diagonals)

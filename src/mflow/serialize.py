@@ -8,6 +8,7 @@ through JSON. Loaders raise ParseError with field context on malformed input.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from .contraction import ContractedPoint
 from .errors import ParseError
 from .flow import FlowTrajectory
 from .gelfand_tsetlin import GTPattern
-from .matrices import as_complex_matrix
+from .matrices import as_complex_matrix, traceless
 from .polygons import PolygonConfig
 
 __all__ = [
@@ -32,10 +33,12 @@ __all__ = [
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path unchanged (no newline translation) via a temp file
+    and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mflow-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -97,9 +100,9 @@ def pattern_to_json(P: GTPattern) -> dict:
 def pattern_from_json(obj, where: str = "pattern") -> GTPattern:
     try:
         rows = obj["rows"]
-        return GTPattern(tuple(tuple(float(v) for v in row) for row in rows))
+        return GTPattern(tuple(tuple(_finite(v) for v in row) for row in rows))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: expected triangular 'rows'") from exc
+        raise ParseError(f"{where}: expected triangular 'rows' of finite numbers") from exc
 
 
 def save_pattern(path: str, P: GTPattern) -> None:
@@ -125,9 +128,9 @@ def polygon_to_json(P: PolygonConfig) -> dict:
 
 def polygon_from_json(obj, where: str = "polygon") -> PolygonConfig:
     try:
-        edges = np.array(obj["edges"], dtype=float)
+        edges = np.array([[_finite(x) for x in e] for e in obj["edges"]], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: expected an 'edges' list of 3-vectors") from exc
+        raise ParseError(f"{where}: expected an 'edges' list of finite 3-vectors") from exc
     return PolygonConfig(edges)
 
 
@@ -140,6 +143,9 @@ def load_polygon(path: str) -> PolygonConfig:
 
 
 def _finite(value) -> float:
+    """float(value), refusing NaN and infinities. The pattern, polygon and
+    scenario loaders read their numbers through it, so a non-finite one is a
+    ParseError."""
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {x}")
@@ -189,7 +195,6 @@ def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None)
     """
     B0 = traj.samples[0][1]
     n = B0.shape[0]
-    from .matrices import traceless
     base_mu = traceless(B0.conj().T @ B0)
     d0 = float(np.linalg.det(B0).real)
     t_end = d0 ** (1.0 / traj.config.m)
@@ -214,17 +219,10 @@ def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None)
         ts = np.linspace(0.0, traj.samples[-1][0], int(samples))
         points = [(float(t), traj.at(float(t))) for t in ts]
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mflow-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t, B in points:
-                writer.writerow(row_of(t, B))
-            writer.writerow(row_of(t_end, traj.terminal))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for t, B in points:
+        writer.writerow(row_of(t, B))
+    writer.writerow(row_of(t_end, traj.terminal))
+    atomic_write_text(path, buf.getvalue())

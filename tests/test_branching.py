@@ -163,7 +163,6 @@ class TestPolygonMonoid:
         assert polygon_monoid_member((1, 1, 1, 1))
         assert not polygon_monoid_member((4, 1, 1, 1))
         assert not polygon_monoid_member((1, 1, 1))            # odd sum
-        assert polygon_monoid_member((1.0, 1.0, 1.0), integral=False)
 
     def test_negative_rejected(self):
         with pytest.raises(InvariantViolation):

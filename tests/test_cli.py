@@ -50,6 +50,11 @@ class TestSerialize:
             serialize.load_matrix(str(path))
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan"])
+    def test_pattern_loader_refuses_non_finite(self, bad):
+        with pytest.raises(ParseError, match="finite"):
+            serialize.pattern_from_json({"rows": [[2.0, bad], [1.0]]})
+
     def test_pattern_round_trip(self, tmp_path):
         P = gt_pattern(np.diag([3.0, 2.0, 1.0]))
         path = str(tmp_path / "p.json")

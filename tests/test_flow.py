@@ -139,7 +139,7 @@ class TestVfield:
             points.append(traj.samples[-1][1])
             points.append(traj.at(0.999 * traj.times()[-1]))
         for B in points:
-            _, re_det = flow._field(B, 1, 0.0)
+            _, re_det = flow._field(B, 1)
             sigma1 = np.linalg.norm(B, 2)
             assert abs(re_det - np.linalg.det(B).real) <= 1e-12 * sigma1 ** B.shape[0]
 
@@ -359,11 +359,11 @@ class TestIntegrateFlow:
     def test_singular_stage_is_counted_and_retried(self, monkeypatch):
         calls = []
 
-        def field_failing_once(B, m, grad_floor):
+        def field_failing_once(B, m):
             calls.append(None)
             if len(calls) == 3:     # the second stage of the first attempt
                 raise SingularLocus("stage on the singular locus")
-            return real_field(B, m, grad_floor)
+            return real_field(B, m)
 
         B = np.diag([2.0, 0.5])
         ref = integrate_flow(B).step_stats

@@ -15,6 +15,7 @@ from mflow.matrices import (
     momentum_right,
     polar_decompose,
     section_sqrt,
+    traceless,
 )
 
 
@@ -332,7 +333,7 @@ class TestAsComplexMatrix:
 class TestMomentum:
     def test_identity(self):
         assert np.allclose(momentum_right(np.eye(2)), np.eye(2))
-        assert np.allclose(momentum_right(np.eye(2), traceless_part=True), 0.0)
+        assert np.allclose(traceless(momentum_right(np.eye(2))), 0.0)
 
     def test_diagonal(self):
         assert np.allclose(momentum_right(np.diag([2.0, 0.5])), np.diag([4.0, 0.25]))
@@ -341,7 +342,7 @@ class TestMomentum:
         rng = np.random.default_rng(23)
         U = haar_unitary(4, rng)
         assert np.allclose(momentum_right(U), np.eye(4), atol=1e-12)
-        assert np.allclose(momentum_right(U, traceless_part=True), 0.0, atol=1e-12)
+        assert np.allclose(traceless(momentum_right(U)), 0.0, atol=1e-12)
 
 
 class TestSectionSqrt:

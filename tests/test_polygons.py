@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mflow.errors import InvariantViolation, TriangleInfeasible, UndefinedBendAxis
+from mflow.errors import InvariantViolation, ParseError, TriangleInfeasible, UndefinedBendAxis
 from mflow.polygons import (
     PolygonConfig,
     Triangulation,
@@ -178,7 +178,7 @@ class TestPolygonConfig:
             PolygonConfig(np.full((4, 3), bad))
 
     def test_loader_refuses_non_finite_edges(self):
-        with pytest.raises(InvariantViolation, match="finite"):
+        with pytest.raises(ParseError, match="finite"):
             polygon_from_json({"edges": [[1.0, 0.0, 0.0], [float("nan"), 1.0, 0.0],
                                          [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]})
 
