@@ -294,13 +294,11 @@ def polygon_monoid_member(r) -> bool:
     vals = list(r)
     if any(v < 0 for v in vals):
         raise InvariantViolation("entries must be nonnegative")
-    total = sum(vals)
-    if any(2 * v > total for v in vals):
-        return False
     ints = [int(v) for v in vals]
     if ints != vals:
         raise InvariantViolation("integral membership needs integer entries")
-    return sum(ints) % 2 == 0
+    total = sum(ints)
+    return total % 2 == 0 and all(2 * v <= total for v in ints)
 
 
 # Far above the about 1100 distinct fusions that counting 840 weight vectors

@@ -29,7 +29,7 @@ from .branching import (
 )
 from .config import Config, env_var_name, flag_name, load_config
 from .contraction import contract_closed_form
-from .errors import DomainError, MFlowError, ParseError
+from .errors import MFlowError, ParseError
 from .flow import integrate_flow
 from .gelfand_tsetlin import enumerate_gt, gt_pattern, weyl_dim
 from .polygons import bend, build_polygon, caterpillar_triangulation, diagonal_lengths
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", dest="out")
     sp.add_argument("--samples", type=int, default=None,
                     help="resample the CSV onto a uniform time grid")
-    config_flags(sp, "m", "rel_tol", "abs_tol", "det_stop_tol", "max_steps")
+    config_flags(sp, "m")
 
     sp = sub.add_parser("contract", help="closed-form symplectic contraction of a matrix")
     needs(sp, [sp.add_argument("--in", dest="inp")])
@@ -284,10 +284,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, np.linalg.LinAlgError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except MFlowError as exc:
+    except (MFlowError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -2,15 +2,14 @@
 MFLOW_* environment overrides.
 
 Precedence (resolved by the CLI): command-line flag > MFLOW_<NAME> env var
-> built-in default. The numerical tolerances that no caller sets to a
-second value are module constants next to the function that owns them
-(`matrices.CLUSTER_TOL`, `polygons.CLOSURE_TOL`, ...), not fields here.
+> built-in default. The numerical tolerances and budgets that no caller
+sets to a second value are module constants next to the function that owns
+them (`flow.REL_TOL`, `matrices.CLUSTER_TOL`, ...), not fields here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 
 from .errors import InvariantViolation, ParseError
@@ -18,23 +17,15 @@ from .errors import InvariantViolation, ParseError
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    """Normalization index m, the DP45 error tolerances, the stop fiber
-    Re det = det_stop_tol and the budget of accepted plus rejected steps of
-    the flow, and the seed of the invariant suite."""
+    """Normalization index m of the flow and the seed of the invariant
+    suite."""
 
     m: int = 1
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    det_stop_tol: float = 1e-6
-    max_steps: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if self.m < 1:
             raise InvariantViolation("normalization index m must be >= 1")
-        tols = (self.rel_tol, self.abs_tol, self.det_stop_tol)
-        if not all(math.isfinite(v) and v > 0 for v in tols):
-            raise InvariantViolation("tolerances must be positive and finite")
         if self.seed < 0:
             raise InvariantViolation("seed must be >= 0")
 
@@ -45,21 +36,13 @@ class Config:
 ENV_PREFIX = "MFLOW_"
 
 
-def _spelling(field: str) -> str:
-    """TOL_REL for rel_tol, MAX_STEPS for max_steps, M for m: tolerance
-    fields drop their "_tol" suffix behind a TOL_ marker."""
-    if field.endswith("_tol"):
-        field = "tol_" + field[:-len("_tol")]
-    return field.upper()
-
-
 def env_var_name(field: str) -> str:
-    return ENV_PREFIX + _spelling(field)
+    return ENV_PREFIX + field.upper()
 
 
 def flag_name(field: str) -> str:
-    """The command-line flag of a field: --tol-rel, --max-steps, --m."""
-    return "--" + _spelling(field).lower().replace("_", "-")
+    """The command-line flag of a field: --m, --seed."""
+    return "--" + field
 
 
 def load_config(environ=None, **overrides) -> Config:

@@ -9,8 +9,10 @@ m = 1 field, so all of them trace the same curve at different speeds: one
 flow is integrated, the k-field with k the multiplicity of the smallest
 singular value of B0 (the time in which the curve is smooth up to det = 0),
 and its times are mapped for every m. Integration runs from the start fiber
-down to the stop fiber Re det = det_stop_tol, and the endpoint is snapped
-onto det = 0 using the conserved polar data.
+down to the stop fiber Re det = DET_STOP_TOL, and the endpoint is snapped
+onto det = 0 using the conserved polar data. The step's error tolerances
+REL_TOL and ABS_TOL, the stop fiber and the step budget MAX_STEPS are module
+constants: the acceptance criteria pin the flow at these values.
 """
 
 from __future__ import annotations
@@ -35,9 +37,13 @@ __all__ = [
 ]
 
 
-FlowConfig = Config     # the flow reads m, the tolerances and max_steps
+FlowConfig = Config     # the flow reads m; its tolerances are the constants below
 
 GRAD_FLOOR = 1e-12      # |grad Re det| at or below this is the singular locus
+REL_TOL = 1e-8          # relative error tolerance of a step
+ABS_TOL = 1e-10         # absolute error tolerance of a step
+DET_STOP_TOL = 1e-6     # the stop fiber Re det = DET_STOP_TOL
+MAX_STEPS = 10_000      # budget of accepted plus rejected steps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,14 +239,15 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     integrated, with an embedded adaptive Dormand-Prince 4(5) step, and
     k = 1 for every start whose smallest singular value is simple. The
     error norm of a step is the larger of two: the RMS of the error
-    estimate's entries, each scaled by abs_tol + rel_tol max(|B_ij|, |B5_ij|)
+    estimate's entries, each scaled by ABS_TOL + REL_TOL max(|B_ij|, |B5_ij|)
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and the first-order
-    change of det along the error estimate, scaled by abs_tol + rel_tol d0,
+    change of det along the error estimate, scaled by ABS_TOL + REL_TOL d0,
     which holds the decay-law residual that the entry scales leave loose.
     Along the curve
-    tau = (Re det)^(1/k) - det_stop_tol^(1/k) is the time left to the stop
+    tau = (Re det)^(1/k) - DET_STOP_TOL^(1/k) is the time left to the stop
     fiber: every step is capped at tau, and the accepted step of length tau
-    lands on the stop fiber and is the last one.
+    lands on the stop fiber and is the last one. More than MAX_STEPS
+    accepted plus rejected steps raise FlowBudgetExceeded.
     The step size follows a PI controller: after an attempt with error norm
     err (accepted at err <= 1) the next step is h times
     0.9 err^-(0.2 - 0.75 beta) err_prev^beta, clamped to [0.2, 5], where
@@ -272,12 +279,12 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     def root(d):
         return d ** (1.0 / k)
 
-    stop = root(cfg.det_stop_tol)
+    stop = root(DET_STOP_TOL)
     t = 0.0
     B = B0.copy()
     v, f, d = field(B)
     d0 = d
-    det_scale = cfg.abs_tol + cfg.rel_tol * d0
+    det_scale = ABS_TOL + REL_TOL * d0
     k_times, mats, slopes, dets, dense = [t], [B], [v], [d], []
     err_rejects = singular_rejects = det_rejects = 0
     err_prev = 1.0      # no accepted step yet: no memory term
@@ -289,9 +296,8 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     K[0] = f.ravel()
 
     while tau > 0.0:
-        if len(dense) + err_rejects + singular_rejects >= cfg.max_steps:
-            raise FlowBudgetExceeded(
-                f"flow exceeded max_steps = {cfg.max_steps} at t = {t:.6g}")
+        if len(dense) + err_rejects + singular_rejects >= MAX_STEPS:
+            raise FlowBudgetExceeded(f"flow exceeded MAX_STEPS = {MAX_STEPS} at t = {t:.6g}")
         if h < _MIN_STEP:
             raise FlowBudgetExceeded(
                 f"step size underflow at t = {t:.6g}, Re det = {d:.3e}")
@@ -311,7 +317,7 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
             continue
 
         e = _DP_E @ K     # the error estimate is h e
-        q = e / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(B), np.abs(B5)).ravel())
+        q = e / (ABS_TOL + REL_TOL * np.maximum(np.abs(B), np.abs(B5)).ravel())
         err_entries = h * math.sqrt(np.vdot(q, q).real / q.size)
         # det's first-order change along h e is tr(adj(B5) h e) =
         # -h <v5, e> / |v5|^2 for the m = 1 field v5. Its scale is fixed by

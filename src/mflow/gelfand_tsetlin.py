@@ -18,7 +18,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .branching import MAX_WEIGHT
+from .branching import MAX_WEIGHT, _check_weakly_decreasing
 from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import CLUSTER_TOL, _eigh, check_hermitian, haar_unitary
 
@@ -149,13 +149,6 @@ def validate_interlacing(P: GTPattern, tol: float = 0.0) -> list:
     return violations
 
 
-def _check_top_row(top) -> tuple:
-    row = tuple(int(v) for v in top)
-    if any(row[i] < row[i + 1] for i in range(len(row) - 1)):
-        raise InvariantViolation("top row must be weakly decreasing integers")
-    return row
-
-
 def _children(row):
     """Integer rows interlacing below `row`, ascending lexicographic."""
     if len(row) == 1:
@@ -187,7 +180,7 @@ def enumerate_gt(top) -> int:
     of at most MAX_WEIGHT and at most MAX_GT_COUNT patterns (by the Weyl
     dimension formula): the enumeration time grows with each of them.
     """
-    row = _check_top_row(top)
+    row = _check_weakly_decreasing(top, "top row")
     if not row:
         return 1
     if len(row) > MAX_GT_LENGTH:
@@ -206,7 +199,7 @@ def iter_gt_patterns(top):
 
     Order is lexicographic in the flattened rows below the top row.
     """
-    row = _check_top_row(top)
+    row = _check_weakly_decreasing(top, "top row")
 
     def rec(prefix, current):
         if len(current) == 1:
@@ -224,7 +217,7 @@ def weyl_dim(weight) -> int:
     Product formula prod_{i<j} (w_i - w_j + j - i)/(j - i), evaluated in
     exact integer arithmetic.
     """
-    return _weyl_dim(_check_top_row(weight))
+    return _weyl_dim(_check_weakly_decreasing(weight, "top row"))
 
 
 def _weyl_dim(w: tuple) -> int:

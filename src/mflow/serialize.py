@@ -143,13 +143,22 @@ def load_polygon(path: str) -> PolygonConfig:
 
 
 def _finite(value) -> float:
-    """float(value), refusing NaN and infinities. The pattern, polygon and
-    scenario loaders read their numbers through it, so a non-finite one is a
-    ParseError."""
+    """A JSON number as a float, refusing strings, booleans, NaN and
+    infinities. The pattern, polygon and scenario loaders read their numbers
+    through it, so anything else is a ParseError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {x}")
     return x
+
+
+def _integer(value) -> int:
+    """A JSON integer, refusing booleans and numbers with a fraction part."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _list_of(value, kind) -> list:
@@ -162,8 +171,8 @@ def scenario_from_json(obj, where: str = "scenario"):
     """(r, d, angles, bends) of a polygon scenario object.
 
     r is required; d defaults to no diagonals, angles to zeros and bends to
-    none. Each bend is a (diagonal, theta) pair, diagonal a list of edge
-    indices.
+    none. Each bend is a (diagonal, theta) pair, diagonal a list of integer
+    edge indices.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: a scenario is a JSON object, got {type(obj).__name__}")
@@ -173,11 +182,11 @@ def scenario_from_json(obj, where: str = "scenario"):
         r = _list_of(obj["r"], _finite)
         d = _list_of(obj.get("d", []), _finite)
         angles = _list_of(obj.get("angles", [0.0] * max(0, len(r) - 3)), _finite)
-        bends = [(_list_of(step["diagonal"], int), _finite(step["theta"]))
+        bends = [(_list_of(step["diagonal"], _integer), _finite(step["theta"]))
                  for step in _list_of(obj.get("bends", []), dict)]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected finite number lists 'r', 'd' and 'angles', and "
-                         "'bends' as a list of {'diagonal': [...], 'theta': t}") from exc
+                         "'bends' as a list of {'diagonal': [integers], 'theta': t}") from exc
     return r, d, angles, bends
 
 

@@ -1,7 +1,8 @@
 """The public API takes no tolerance knobs: the numerical tolerances are
-module constants (README lists them). Two kinds of value stay parameters
-because their callers pass different ones: the comparison tolerance of the
-equality predicates, and the fields of the configuration (Config)."""
+module constants (README lists them). The one tolerance that stays a
+parameter, because its callers pass different values, is the comparison
+tolerance of the equality predicates. The walk covers the configuration
+(Config) too."""
 
 import importlib
 import inspect
@@ -24,9 +25,9 @@ def _public():
 
 def _callables():
     """(qualified name, callable) for the public callables and the methods of
-    the public classes, the configuration excepted."""
+    the public classes."""
     for name, obj in _public():
-        if not callable(obj) or obj is mflow.Config:
+        if not callable(obj):
             continue
         yield name, obj
         if inspect.isclass(obj):
@@ -53,5 +54,6 @@ def test_no_public_callable_takes_a_tolerance_knob():
 def test_walk_covers_the_api():
     names = dict(_callables())
     assert {"integrate_flow", "vfield", "OrbitFunction.gradient", "eig_hermitian",
-            "check_hermitian", "eigenvalue_blocks", "polygon_monoid_member"} <= names.keys()
+            "check_hermitian", "eigenvalue_blocks", "polygon_monoid_member",
+            "Config"} <= names.keys()
     assert _COMPARISON_TOL <= names.keys()

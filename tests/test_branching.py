@@ -168,6 +168,12 @@ class TestPolygonMonoid:
         with pytest.raises(InvariantViolation):
             polygon_monoid_member((1, -1, 2))
 
+    @pytest.mark.parametrize("r", [(4.5, 1, 1), (1.5, 1.5, 1)])
+    def test_non_integer_rejected(self, r):
+        # refused whether or not the entries pass the triangle test
+        with pytest.raises(InvariantViolation, match="integer entries"):
+            polygon_monoid_member(r)
+
     def test_closed_under_addition(self):
         members = [r for r in product(range(4), repeat=4)
                    if polygon_monoid_member(r)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import mflow
 from mflow import serialize
 from mflow import cli
+from mflow import flow
 from mflow import verify
 from mflow.cli import main
 from mflow.config import Config, env_var_name, flag_name
@@ -54,6 +55,43 @@ class TestSerialize:
     def test_pattern_loader_refuses_non_finite(self, bad):
         with pytest.raises(ParseError, match="finite"):
             serialize.pattern_from_json({"rows": [[2.0, bad], [1.0]]})
+
+    _SQUARE = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+
+    @pytest.mark.parametrize("load, obj", [
+        (serialize.pattern_from_json, {"rows": [["2", 1], [1]]}),
+        (serialize.pattern_from_json, {"rows": [[2, 1], [True]]}),
+        (serialize.polygon_from_json, {"edges": [["1", 0, 0]] + _SQUARE[1:]}),
+        (serialize.polygon_from_json, {"edges": [[True, 0, 0]] + _SQUARE[1:]}),
+        (serialize.scenario_from_json, {"r": ["1", "1", "1", "1"]}),
+        (serialize.scenario_from_json, {"r": [True, 1, 1, 1]}),
+        (serialize.scenario_from_json, {"r": [1, 1, 1, 1], "d": [None]}),
+        (serialize.scenario_from_json,
+         {"r": [1, 1, 1, 1], "bends": [{"diagonal": [1, 2], "theta": "0.5"}]}),
+        (serialize.scenario_from_json,
+         {"r": [1, 1, 1, 1], "bends": [{"diagonal": [1.5, 2.7], "theta": 0.5}]}),
+        (serialize.scenario_from_json,
+         {"r": [1, 1, 1, 1], "bends": [{"diagonal": [1.0, 2.0], "theta": 0.5}]}),
+        (serialize.scenario_from_json,
+         {"r": [1, 1, 1, 1], "bends": [{"diagonal": [True, 2], "theta": 0.5}]}),
+    ], ids=["pattern-string", "pattern-bool", "polygon-string", "polygon-bool",
+            "scenario-string", "scenario-bool", "scenario-null", "theta-string",
+            "diagonal-fraction", "diagonal-float", "diagonal-bool"])
+    def test_loaders_refuse_values_that_are_not_numbers(self, load, obj):
+        with pytest.raises(ParseError):
+            load(obj)
+
+    def test_scenario_loader_reads_json_numbers(self):
+        obj = {"r": [1, 1.5, 1, 1.5], "d": [2], "bends": [{"diagonal": [1, 2], "theta": 1}]}
+        assert serialize.scenario_from_json(obj) == ([1.0, 1.5, 1.0, 1.5], [2.0], [0.0],
+                                                     [([1, 2], 1.0)])
+
+    def test_scenario_with_fractional_diagonal_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"r": [1, 1, 1, 1], "d": [1.4], "angles": [0.3],
+                                    "bends": [{"diagonal": [1.5, 2.7], "theta": 0.5}]}))
+        assert main(["polygon", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ParseError")
 
     def test_pattern_round_trip(self, tmp_path):
         P = gt_pattern(np.diag([3.0, 2.0, 1.0]))
@@ -155,9 +193,10 @@ _I64, _F64 = np.int64, np.float64
     lambda: mflow.fiber_chain_member([np.array([1]), np.array([3, 2, 1])]),
     lambda: mflow.parse_newick("((1,2),(3,4))").vertex_of_label(_I64(9)),
     lambda: mflow.random_orbit_point([1.0, _F64("nan")], seed=1),
-    lambda: mflow.integrate_flow(np.diag([2.0, 0.5]), mflow.Config(max_steps=1)),
+    lambda: mflow.integrate_flow(np.diag([2.0, 0.5])),
 ])
-def test_messages_show_numpy_scalars_as_plain_numbers(call):
+def test_messages_show_numpy_scalars_as_plain_numbers(call, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 1)     # the flow case runs out of steps
     with pytest.raises(DomainError) as err:
         call()
     assert "np." not in str(err.value)
@@ -397,17 +436,15 @@ class TestCli:
     def test_show_config(self, capsys):
         assert main(["--show-config"]) == 0
         out = capsys.readouterr().out
-        assert "det_stop_tol = 1e-06" in out
-        assert "seed = 0" in out
-        shown = [line.split(" = ")[0] for line in out.splitlines()]
-        assert shown == [f.name for f in dataclasses.fields(Config)]
+        assert out.splitlines() == ["m = 1", "seed = 0"]
+        assert [f.name for f in dataclasses.fields(Config)] == ["m", "seed"]
 
     def test_env_override_and_flag_precedence(self, monkeypatch, capsys):
-        monkeypatch.setenv("MFLOW_TOL_REL", "1e-7")
+        monkeypatch.setenv("MFLOW_M", "2")
         assert main(["--show-config"]) == 0
-        assert "rel_tol = 1e-07" in capsys.readouterr().out
-        assert main(["--show-config", "flow", "--in", "B.json", "--tol-rel", "1e-6"]) == 0
-        assert "rel_tol = 1e-06" in capsys.readouterr().out
+        assert "m = 2" in capsys.readouterr().out.splitlines()
+        assert main(["--show-config", "flow", "--in", "B.json", "--m", "3"]) == 0
+        assert "m = 3" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("command", ["flow", "verify", "tree-count", "branch", "gt-pattern"])
     def test_show_config_needs_no_inputs(self, command, capsys):
@@ -461,15 +498,28 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    # The flow's tolerances, stop fiber and step budget are constants of
+    # mflow.flow: no flag or environment variable sets them.
+    @pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs", "--tol-det-stop", "--max-steps"])
+    def test_flow_has_no_tolerance_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--in", "B.json", flag, "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["MFLOW_TOL_REL", "MFLOW_TOL_ABS", "MFLOW_TOL_DET_STOP",
+                                      "MFLOW_MAX_STEPS"])
+    def test_flow_reads_no_tolerance_env_vars(self, name, monkeypatch, capsys):
+        monkeypatch.setenv(name, "nan")
+        assert main(["--show-config"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["m = 1", "seed = 0"]
+
     @pytest.mark.parametrize("env, argv, code, error", [
         ({"MFLOW_SEED": "abc"}, ["verify"], 2, "ParseError"),
         ({"MFLOW_M": "1.5"}, ["--show-config"], 2, "ParseError"),
-        ({"MFLOW_TOL_REL": "-1"}, ["--show-config"], 1, "InvariantViolation"),
-        ({"MFLOW_TOL_DET_STOP": "nan"}, ["--show-config"], 1, "InvariantViolation"),
         ({}, ["flow", "--in", "missing.json", "--m", "0"], 1, "InvariantViolation"),
         ({}, ["verify", "--seed", "-1"], 1, "InvariantViolation"),
-    ], ids=["env-seed-abc", "env-m-float", "env-tol-negative", "env-tol-nan", "flag-m-0",
-            "flag-seed-negative"])
+    ], ids=["env-seed-abc", "env-m-float", "flag-m-0", "flag-seed-negative"])
     def test_config_errors_exit_codes(self, env, argv, code, error, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -518,8 +568,7 @@ class TestCli:
 
 # The subcommand that reads each Config field. A field missing here has no
 # consumer, and its case of the test below fails.
-_READER = {"m": "flow", "rel_tol": "flow", "abs_tol": "flow", "det_stop_tol": "flow",
-           "max_steps": "flow", "seed": "verify"}
+_READER = {"m": "flow", "seed": "verify"}
 
 
 class _Reads:

@@ -129,7 +129,7 @@ class TestVfield:
 
     def test_field_re_det_is_the_determinant(self):
         # one row of the Laplace expansion, against LU, at random points and
-        # next to the stop fiber Re det = det_stop_tol
+        # next to the stop fiber Re det = DET_STOP_TOL
         rng = np.random.default_rng(79)
         points = []
         for n in range(2, 9):
@@ -170,7 +170,7 @@ class TestIntegrateFlow:
         ts = traj.times()
         assert ts[0] == 0.0
         assert np.all(np.diff(ts) > 0)
-        assert abs(np.linalg.det(traj.terminal)) <= traj.config.det_stop_tol
+        assert abs(np.linalg.det(traj.terminal)) <= flow.DET_STOP_TOL
         assert traj.step_stats.accepted == len(traj.samples) - 1
 
     def test_decay_law_every_accepted_step(self):
@@ -280,9 +280,9 @@ class TestIntegrateFlow:
         starts += [(label, B) for label, B, _, _ in DEGENERATE]
         for label, B in starts:
             traj = integrate_flow(B)
-            stop = traj.config.det_stop_tol
+            stop = flow.DET_STOP_TOL
             d_last = float(np.linalg.det(traj.samples[-1][1]).real)
-            # the last step ends on Re det = det_stop_tol: no tail of tiny steps
+            # the last step ends on Re det = DET_STOP_TOL: no tail of tiny steps
             assert abs(d_last - stop) < 1e-9, label
             assert abs(traj.times()[-1] - (traj.start_det - stop)) < 1e-8, label
             steps = np.diff(traj.times())
@@ -442,9 +442,10 @@ class TestIntegrateFlow:
             dev = np.linalg.norm(traj.at(t) - y.reshape(4, 4))
             assert dev < 1e-6, (m, t, dev)
 
-    def test_max_steps_budget(self):
-        with pytest.raises(FlowBudgetExceeded):
-            integrate_flow(np.diag([2.0, 0.5]), FlowConfig(max_steps=3))
+    def test_max_steps_budget(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_STEPS", 3)
+        with pytest.raises(FlowBudgetExceeded, match="MAX_STEPS = 3"):
+            integrate_flow(np.diag([2.0, 0.5]))
 
     def test_rejects_nonpositive_or_complex_determinant(self):
         with pytest.raises(InvariantViolation):
