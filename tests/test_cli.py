@@ -594,8 +594,7 @@ def test_config_field_reaches_its_consumer(field, tmp_path, monkeypatch, capsys)
     src = str(tmp_path / "B.json")
     serialize.save_matrix(src, np.diag([2.0, 0.5]))
     argv = {"flow": ["flow", "--in", src], "verify": ["verify"]}[_READER[field.name]]
-    step = 1 if isinstance(field.default, int) else field.default
-    env_value, flag_value = field.default + step, field.default + 3 * step
+    env_value, flag_value = field.default + 1, field.default + 3
 
     monkeypatch.setenv(env_var_name(field.name), str(env_value))
     assert main(["--show-config"]) == 0
