@@ -233,6 +233,7 @@ def enumerate_trivalent_trees(n: int):
 
 def cg_admissible(i: int, j: int, k: int) -> bool:
     """Parity and triangle conditions for a nonzero triple coupling."""
+    i, j, k = _integers((i, j, k), "spin labels")
     if min(i, j, k) < 0:
         raise InvariantViolation("spin labels must be nonnegative")
     return (i + j + k) % 2 == 0 and abs(i - j) <= k <= i + j
@@ -252,8 +253,7 @@ def cg_multiplicity(r) -> int:
     rank-2 irreps with labels r, by iterated Clebsch-Gordan decomposition.
     Labels must lie in 0..MAX_WEIGHT."""
     state = {0: 1}
-    for ri in r:
-        ri = int(ri)
+    for ri in _integers(r, "labels"):
         if not 0 <= ri <= MAX_WEIGHT:
             raise InvariantViolation(f"labels must be in 0..{MAX_WEIGHT}")
         new: dict = {}
@@ -264,8 +264,21 @@ def cg_multiplicity(r) -> int:
     return state.get(0, 0)
 
 
+def _integers(values, what: str) -> tuple:
+    """values as a tuple of ints. Integral floats and numpy ints pass; any
+    other entry, NaN and infinities included, raises InvariantViolation."""
+    vals = tuple(values)
+    try:
+        ints = tuple(map(int, vals))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != vals:
+        raise InvariantViolation(f"{what}: expected integer entries")
+    return ints
+
+
 def _check_weakly_decreasing(w, what="weight"):
-    t = tuple(map(int, w))
+    t = _integers(w, what)
     if not all(map(operator.ge, t, t[1:])):
         raise InvariantViolation(f"{what} must be weakly decreasing: {t}")
     return t
@@ -291,12 +304,9 @@ def polygon_monoid_member(r) -> bool:
     """Membership of r in the polygon side-length monoid: nonnegative
     integers with even sum and every entry at most the sum of the others.
     """
-    vals = list(r)
-    if any(v < 0 for v in vals):
+    ints = _integers(r, "polygon monoid entries")
+    if any(v < 0 for v in ints):
         raise InvariantViolation("entries must be nonnegative")
-    ints = [int(v) for v in vals]
-    if ints != vals:
-        raise InvariantViolation("integral membership needs integer entries")
     total = sum(ints)
     return total % 2 == 0 and all(2 * v <= total for v in ints)
 
@@ -345,14 +355,14 @@ def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
     Leaf weights must lie in 0..MAX_WEIGHT.
     """
     plan = tree.fusion_plan
-    r = [int(v) for v in leaf_weights]
+    r = _integers(leaf_weights, "leaf weights")
     if len(r) != tree.n_leaves:
         raise InvariantViolation(
             f"need {tree.n_leaves} leaf weights, got {len(r)}")
     if min(r) < 0 or max(r) > MAX_WEIGHT:       # a tree has at least 2 leaves
         raise InvariantViolation(f"leaf weights must be in 0..{MAX_WEIGHT}")
 
-    steps = r[1:]
+    steps = list(r[1:])
     for i, j in plan:
         steps.append(_fuse(steps[i], steps[j]))
     c = steps[-1]
@@ -368,7 +378,8 @@ def weighting_violations(tree: TreeGraph, weights: dict) -> list:
     returns the list of internal vertices whose incident triple fails parity
     or a triangle inequality.
     """
-    w = {_edge(u, v): int(val) for (u, v), val in weights.items()}
+    w = dict(zip((_edge(u, v) for u, v in weights),
+                 _integers(weights.values(), "edge weights")))
     if set(w) != set(tree.edges):
         raise InvariantViolation("weighting must cover exactly the tree edges")
     if any(val < 0 for val in w.values()):
@@ -387,7 +398,7 @@ def dominance_cone_member(lam, mu) -> bool:
     """Whether mu - lam is a nonnegative combination of the simple roots
     e_i - e_{i+1}: all prefix sums of mu - lam nonnegative, total zero."""
     lam = _check_weakly_decreasing(lam, "lambda")
-    mu = tuple(int(v) for v in mu)
+    mu = _integers(mu, "mu")
     if len(mu) != len(lam):
         raise InvariantViolation(
             f"length mismatch: |lambda| = {len(lam)}, |mu| = {len(mu)}")

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import (
-    CLUSTER_TOL,
     _eigh,
     as_complex_matrix,
     check_hermitian,
@@ -236,8 +235,7 @@ def star_action(A, level: int, phases) -> np.ndarray:
         raise InvariantViolation("phases must be finite")
     sub = M[:j, :j]
     w, U = _eigh(sub)
-    scale = 1.0 + float(np.max(np.abs(w), initial=0.0))
-    if j > 1 and np.min(-np.diff(w)) <= CLUSTER_TOL * scale:
+    if len(eigenvalue_blocks(w)) < j:
         raise PrincipalStratumViolation(
             f"leading {j}x{j} submatrix has a degenerate eigenvalue")
     C = np.eye(n, dtype=complex)

@@ -102,11 +102,7 @@ class FlowTrajectory:
 
     def momentum_drift(self) -> np.ndarray:
         """Max-norm deviation of the traceless right momentum from t = 0."""
-        Bs = np.stack(self.matrices())
-        H = Bs.conj().transpose(0, 2, 1) @ Bs
-        n = Bs.shape[-1]
-        mu = H - (np.trace(H, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
-        return np.max(np.abs(mu - mu[0]), axis=(1, 2))
+        return _diagnostics(np.stack(self.matrices()))[1]
 
     def at(self, t: float) -> np.ndarray:
         """B(t) from the quartic dense output of the step containing t.
@@ -131,10 +127,17 @@ class FlowTrajectory:
     def law_residuals(self) -> np.ndarray:
         """Re det(B(t)) minus the exact decay law (d0^(1/m) - t)^m."""
         m = self.config.m
-        d0 = float(np.linalg.det(self.samples[0][1]).real)
-        ts = self.times()
-        expected = np.maximum(d0 ** (1.0 / m) - ts, 0.0) ** m
+        expected = np.maximum(self.start_det ** (1.0 / m) - self.times(), 0.0) ** m
         return self.determinants().real - expected
+
+
+def _diagnostics(Bs: np.ndarray):
+    """Determinants of the stacked matrices Bs, and the max-norm deviation of
+    their traceless right momenta from that of Bs[0]."""
+    H = Bs.conj().transpose(0, 2, 1) @ Bs
+    n = Bs.shape[-1]
+    mu = H - (np.trace(H, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    return np.linalg.det(Bs), np.max(np.abs(mu - mu[0]), axis=(1, 2))
 
 
 def grad_re_det(A) -> np.ndarray:

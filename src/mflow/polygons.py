@@ -58,10 +58,6 @@ class PolygonConfig:
     def side_lengths(self) -> np.ndarray:
         return np.linalg.norm(self.edges, axis=1)
 
-    def vertices(self) -> np.ndarray:
-        """Vertices P_0 = 0, P_k = e_1 + ... + e_k."""
-        return np.vstack([np.zeros(3), np.cumsum(self.edges, axis=0)[:-1]])
-
 
 def _as_run(diagonal, n) -> tuple:
     idx = sorted(set(int(i) for i in diagonal))

@@ -18,9 +18,9 @@ import numpy as np
 
 from .contraction import ContractedPoint
 from .errors import ParseError
-from .flow import FlowTrajectory
+from .flow import FlowTrajectory, _diagnostics
 from .gelfand_tsetlin import GTPattern
-from .matrices import as_complex_matrix, traceless
+from .matrices import as_complex_matrix
 from .polygons import PolygonConfig
 
 __all__ = [
@@ -200,38 +200,28 @@ def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None)
     Columns: t, re_ij/im_ij row-major, det_re, det_im, mu_drift (max-norm
     drift of the traceless right momentum from t = 0). Rows are the accepted
     steps, or a uniform resampling when `samples` is given; the final row is
-    always the snapped terminal at the nominal end time.
+    always the snapped terminal at the nominal end time start_det^(1/m).
     """
-    B0 = traj.samples[0][1]
-    n = B0.shape[0]
-    base_mu = traceless(B0.conj().T @ B0)
-    d0 = float(np.linalg.det(B0).real)
-    t_end = d0 ** (1.0 / traj.config.m)
-
+    n = traj.terminal.shape[0]
     header = ["t"]
     for i in range(n):
         for j in range(n):
             header += [f"re_{i}{j}", f"im_{i}{j}"]
     header += ["det_re", "det_im", "mu_drift"]
 
-    def row_of(t, B):
-        det = complex(np.linalg.det(B))
-        drift = float(np.max(np.abs(traceless(B.conj().T @ B) - base_mu)))
-        flat = []
-        for z in B.ravel():
-            flat += [z.real, z.imag]
-        return [t, *flat, det.real, det.imag, drift]
-
     if samples is None:
-        points = [(t, B) for t, B in traj.samples]
+        ts, mats = traj.times(), traj.matrices()
     else:
         ts = np.linspace(0.0, traj.samples[-1][0], int(samples))
-        points = [(float(t), traj.at(float(t))) for t in ts]
-
+        mats = [traj.at(float(t)) for t in ts]
+    # the start leads the stack as the drift's base; its row is not written
+    Bs = np.stack([traj.samples[0][1], *mats, traj.terminal])
+    dets, drift = _diagnostics(Bs)
+    ts = [0.0, *ts, traj.start_det ** (1.0 / traj.config.m)]
+    rows = np.column_stack([ts, Bs.view(float).reshape(len(Bs), -1),
+                            dets.real, dets.imag, drift])
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for t, B in points:
-        writer.writerow(row_of(t, B))
-    writer.writerow(row_of(t_end, traj.terminal))
+    writer.writerows(rows[1:].tolist())
     atomic_write_text(path, buf.getvalue())

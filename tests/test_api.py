@@ -4,8 +4,10 @@ parameter, because its callers pass different values, is the comparison
 tolerance of the equality predicates. The walk covers the configuration
 (Config) too."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import mflow
@@ -57,3 +59,21 @@ def test_walk_covers_the_api():
             "check_hermitian", "eigenvalue_blocks", "polygon_monoid_member",
             "Config"} <= names.keys()
     assert _COMPARISON_TOL <= names.keys()
+
+
+def test_benchmark_traced_names_resolve():
+    """Every name that bench/spans.py traces is a callable of its mflow
+    module; the benchmark itself only warns about a missing one. LAYERS is
+    read from the file's source, so nothing under bench/ is executed."""
+    source = (pathlib.Path(__file__).parents[1] / "bench" / "spans.py").read_text()
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS")
+    unresolved = []
+    for module, attrs in layers.items():
+        for attr in attrs:
+            obj = importlib.import_module(f"mflow.{module}")
+            for name in attr.split("."):     # "Class.method" names a method
+                obj = getattr(obj, name, None)
+            if not callable(obj):
+                unresolved.append(f"{module}.{attr}")
+    assert len(layers) > 5 and unresolved == []

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from mflow.branching import (
     weighting_violations,
 )
 from mflow.errors import InvariantViolation, ParseError
-from mflow.gelfand_tsetlin import enumerate_gt, iter_gt_patterns
+from mflow.gelfand_tsetlin import enumerate_gt, iter_gt_patterns, weyl_dim
 
 # Reproducible property tests: the same examples on every run, and no
 # example database written next to the tests.
@@ -469,3 +470,35 @@ class TestFiberChain:
                 if fiber_chain_member(chain):
                     accepted.add((lam, r2, r1))
         assert accepted == pats
+
+
+_FOUR_LEAVES = parse_newick("((1,2),(3,4))")
+
+# Each entry point with one integer input replaced by x.
+_INTEGER_READERS = {
+    "weyl_dim": lambda x: weyl_dim([x, 0]),
+    "enumerate_gt": lambda x: enumerate_gt([x, 0]),
+    "iter_gt_patterns": lambda x: list(iter_gt_patterns([x, 0])),
+    "pieri_admissible": lambda x: pieri_admissible([x], [2, 1]),
+    "fiber_chain_member": lambda x: fiber_chain_member([(1,), (x, 1)]),
+    "cg_multiplicity": lambda x: cg_multiplicity([x, 1]),
+    "cg_admissible": lambda x: cg_admissible(x, 1, 1),
+    "tree_polytope_count": lambda x: tree_polytope_count(_FOUR_LEAVES, [x, 1, 1, 1]),
+    "weighting_violations": lambda x: weighting_violations(
+        _FOUR_LEAVES, {e: x for e in _FOUR_LEAVES.edges}),
+    "dominance_cone_member-lambda": lambda x: dominance_cone_member([x, 0], [1, 1]),
+    "dominance_cone_member-mu": lambda x: dominance_cone_member([2, 0], [x, 1]),
+    "polygon_monoid_member": lambda x: polygon_monoid_member([x, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("x", [2.5, float("nan")], ids=["fraction", "nan"])
+@pytest.mark.parametrize("call", _INTEGER_READERS.values(), ids=_INTEGER_READERS.keys())
+def test_non_integer_input_refused(call, x):
+    with pytest.raises(InvariantViolation, match="integer entries"):
+        call(x)
+
+
+@pytest.mark.parametrize("call", _INTEGER_READERS.values(), ids=_INTEGER_READERS.keys())
+def test_integral_floats_and_numpy_ints_accepted(call):
+    assert call(2.0) == call(np.int64(2)) == call(2)

@@ -129,6 +129,52 @@ class TestSerialize:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 11 + 1  # header + grid + terminal
 
+    @staticmethod
+    def _csv_values(path):
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        return rows[0], np.array(rows[1:], dtype=float)
+
+    @staticmethod
+    def _start():
+        """A complex 3x3 start of det about 2, whose start_det differs from
+        the LU determinant's real part in the last bits for m = 1, 2, 3."""
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        return 2 ** (1 / 3) * B / np.linalg.det(B) ** (1 / 3)
+
+    def test_trajectory_csv_writes_the_trajectorys_diagnostics(self, tmp_path):
+        traj = integrate_flow(self._start())
+        path = str(tmp_path / "t.csv")
+        serialize.save_trajectory(path, traj)
+        header, values = self._csv_values(path)
+        body = dict(zip(header, values[:-1].T))
+        # the CSV's floats are reprs, so they read back bit for bit
+        assert np.array_equal(body["t"], traj.times())
+        assert np.array_equal(body["det_re"], traj.determinants().real)
+        assert np.array_equal(body["det_im"], traj.determinants().imag)
+        assert np.array_equal(body["mu_drift"], traj.momentum_drift())
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_trajectory_csv_terminal_time_is_start_det_root(self, tmp_path, m):
+        traj = integrate_flow(self._start(), Config(m=m))
+        path = str(tmp_path / "t.csv")
+        serialize.save_trajectory(path, traj)
+        _, values = self._csv_values(path)
+        assert values[-1, 0] == traj.start_det ** (1 / m)
+        assert np.array_equal(values[-1, 1:-3].view(complex), traj.terminal.ravel())
+
+    def test_trajectory_csv_without_samples_is_header_and_terminal(self, tmp_path):
+        traj = integrate_flow(self._start())
+        full, empty = str(tmp_path / "full.csv"), str(tmp_path / "empty.csv")
+        serialize.save_trajectory(full, traj)
+        serialize.save_trajectory(empty, traj, samples=0)
+        header, values = self._csv_values(empty)
+        assert values.shape == (1, len(header))
+        # the terminal's drift is still measured from the start
+        assert np.array_equal(values[0], self._csv_values(full)[1][-1])
+        assert values[0, -1] > 0.0
+
 
 # JSON-shaped values: what json.load can return, plus the float and integer
 # extremes that overflow float() and int()
