@@ -77,10 +77,6 @@ class TreeGraph:
             adj.setdefault(v, []).append(u)
         return adj
 
-    def internal_vertices(self) -> list:
-        adj = self.adjacency()
-        return [v for v in adj if len(adj[v]) > 1]
-
     def is_trivalent(self) -> bool:
         # leaves have degree 1, so every other vertex must have degree 3
         return all(len(nbrs) in (1, 3) for nbrs in self.adjacency().values())

@@ -5,10 +5,10 @@ Re(det) decreases at unit rate (index m = 1), together with the family of
 re-normalizations indexed by a positive integer m under which
 Re det(B(t)) = (Re det(B0)^(1/m) - t)^m along trajectories started on the
 real positive determinant slice. Each m-field is a positive multiple of the
-m = 1 field, so all of them trace the same curve at different speeds: one
-flow is integrated, the k-field with k the multiplicity of the smallest
+m = 1 field, so all of them trace one curve, and one integration serves
+every m: the k-field is integrated, k the multiplicity of the smallest
 singular value of B0 (the time in which the curve is smooth up to det = 0),
-and its times are mapped for every m. Integration runs from the start fiber
+and _retime maps its times to any m's. Integration runs from the start fiber
 down to the stop fiber Re det = DET_STOP_TOL, and the endpoint is snapped
 onto det = 0 using the conserved polar data. The step's error tolerances
 REL_TOL and ABS_TOL, the stop fiber and the step budget MAX_STEPS are module
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -48,86 +49,96 @@ MAX_STEPS = 10_000      # budget of accepted plus rejected steps
 
 @dataclasses.dataclass(frozen=True)
 class StepStats:
-    """Step counts of one integration.
+    """Step counts of one integration, the same for every m.
 
     rhs_calls counts field evaluations. min_step is the smallest accepted
-    step in the trajectory's time other than the final landing step (the
-    landing step itself when it is the only one). rejected splits into
+    step in the k-time other than the final landing step (the landing step
+    itself when it is the only one). The rejected steps split into
     err_rejects (error norm above 1) and singular_rejects (a stage hit the
     singular locus); det_rejects counts the err_rejects whose determinant
     error term exceeded the entry-wise one.
     """
 
     accepted: int
-    rejected: int
     min_step: float
     rhs_calls: int
     err_rejects: int
     singular_rejects: int
     det_rejects: int
 
+    @property
+    def rejected(self) -> int:
+        return self.err_rejects + self.singular_rejects
 
-@dataclasses.dataclass
+
+@dataclasses.dataclass(frozen=True)
 class FlowTrajectory:
-    """Time-stamped samples of one flow line plus the snapped endpoint.
+    """What integrate_flow computed; only config depends on m.
 
-    samples holds (t, B) at every accepted step starting at t = 0 and slopes
-    holds dB/dt at the same points, both in the time t of the configured m.
-    The samples lie on the integral curve of the k-field, which is the one
-    integrated, with k = time_exponent the multiplicity of the smallest
-    singular value of B0: k_times holds their k-times t_k, with
-    t_k = d0^(1/k) - (d0^(1/m) - t)^(m/k) for d0 = start_det, and dense[j]
-    holds the Dormand-Prince quartic continuous extension of step j as a
-    (4, n*n) array D, so that B(t_k,j + theta h_j) = B_j + (theta, ..., theta^4) D.
+    points holds B at every accepted step from B0 on, k_times their times in
+    the integrated k-field (k = time_exponent, the multiplicity of the
+    smallest singular value of B0), and dense[j] the Dormand-Prince quartic
+    continuous extension of step j as a (4, n*n) array D, so that
+    B(t_k,j + theta h_j) = B_j + (theta, ..., theta^4) D. times(), samples
+    and at() are in the time of config.m, so dataclasses.replace(traj,
+    config=FlowConfig(m=m)) views the same integration at another m.
     """
 
-    samples: list
-    slopes: list
+    points: tuple
+    k_times: tuple
+    dense: tuple
     step_stats: StepStats
     terminal: np.ndarray
-    config: Config
-    k_times: list
-    dense: list
     start_det: float
     time_exponent: int
+    config: Config
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        """The k_times mapped to the time of config.m, once per trajectory."""
+        k, m, d0 = self.time_exponent, self.config.m, self.start_det
+        return np.array([_retime(tk, k, m, d0) for tk in self.k_times])
+
+    @property
+    def samples(self) -> list:
+        """(t, B) at every accepted step, t in the time of config.m."""
+        return list(zip(self._times.tolist(), self.points))
 
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
+        return self._times.copy()
 
     def matrices(self) -> list:
-        return [B for _, B in self.samples]
+        return list(self.points)
 
     def determinants(self) -> np.ndarray:
-        return np.linalg.det(np.stack(self.matrices()))
+        return np.linalg.det(np.stack(self.points))
 
     def momentum_drift(self) -> np.ndarray:
         """Max-norm deviation of the traceless right momentum from t = 0."""
-        return _diagnostics(np.stack(self.matrices()))[1]
+        return _diagnostics(np.stack(self.points))[1]
 
     def at(self, t: float) -> np.ndarray:
         """B(t) from the quartic dense output of the step containing t.
 
-        The dense output is defined in the k-time, so for m != k t is first
-        mapped to t_k = d0^(1/k) - (d0^(1/m) - t)^(m/k). Times outside the
-        samples give the first or the last sample.
+        The dense output is defined in the k-time, to which t is mapped
+        first. Times outside the samples give the first or the last sample.
         """
-        ts = self.times()
+        ts = self._times
         if t <= ts[0]:
-            return self.samples[0][1]
+            return self.points[0]
         if t >= ts[-1]:
-            return self.samples[-1][1]
+            return self.points[-1]
         j = int(np.searchsorted(ts, t, side="right") - 1)
-        k, m, d0 = self.time_exponent, self.config.m, self.start_det
-        tk = t if m == k else d0 ** (1.0 / k) - max(d0 ** (1.0 / m) - t, 0.0) ** (m / k)
+        tk = _retime(t, self.config.m, self.time_exponent, self.start_det)
         t0, t1 = self.k_times[j], self.k_times[j + 1]
-        B = self.samples[j][1]
+        B = self.points[j]
         theta = (tk - t0) / (t1 - t0)
         return B + (theta ** _POWERS @ self.dense[j]).reshape(B.shape)
 
     def law_residuals(self) -> np.ndarray:
         """Re det(B(t)) minus the exact decay law (d0^(1/m) - t)^m."""
         m = self.config.m
-        expected = np.maximum(self.start_det ** (1.0 / m) - self.times(), 0.0) ** m
+        expected = np.maximum(self.start_det ** (1.0 / m) - self._times, 0.0) ** m
         return self.determinants().real - expected
 
 
@@ -138,6 +149,14 @@ def _diagnostics(Bs: np.ndarray):
     n = Bs.shape[-1]
     mu = H - (np.trace(H, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
     return np.linalg.det(Bs), np.max(np.abs(mu - mu[0]), axis=(1, 2))
+
+
+def _retime(t: float, p: int, q: int, d0: float) -> float:
+    """The time of the q-field at time t of the p-field, from Re det = d0:
+    Re det = (d0^(1/p) - t)^p = (d0^(1/q) - t_q)^q, clamped at det = 0."""
+    if p == q:
+        return t
+    return d0 ** (1.0 / q) - max(d0 ** (1.0 / p) - t, 0.0) ** (p / q)
 
 
 def grad_re_det(A) -> np.ndarray:
@@ -259,11 +278,9 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     grow-then-reject cycle of the plain 0.9 err^-0.2. An
     attempt whose stages hit the singular locus is rejected and cut to a
     quarter. Each accepted step keeps its quartic continuous extension for
-    FlowTrajectory.at. Every m-field is the m = 1 field times
-    m (Re det)^(1 - 1/m) > 0, so each m reparametrizes the same curve:
-    sample t_k gets the time t = d0^(1/m) - (d0^(1/k) - t_k)^(k/m) and its
-    slope is the m = 1 field rescaled. The terminal point is the closed-form
-    contraction of the last sample onto det = 0.
+    FlowTrajectory.at. The terminal point is the closed-form contraction
+    of the last sample onto det = 0. The integration is the same for every
+    m: cfg is only stored, and the trajectory maps its times to cfg.m's.
     """
     if cfg is None:
         cfg = Config()
@@ -285,10 +302,10 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     stop = root(DET_STOP_TOL)
     t = 0.0
     B = B0.copy()
-    v, f, d = field(B)
+    _, f, d = field(B)
     d0 = d
     det_scale = ABS_TOL + REL_TOL * d0
-    k_times, mats, slopes, dets, dense = [t], [B], [v], [d], []
+    k_times, points, dense = [t], [B], []
     err_rejects = singular_rejects = det_rejects = 0
     err_prev = 1.0      # no accepted step yet: no memory term
     tau = root(d) - stop
@@ -336,9 +353,7 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
             B, d = B5, d5
             K[0] = K[6]
             k_times.append(t)
-            mats.append(B)
-            slopes.append(v5)
-            dets.append(d)
+            points.append(B)
             tau = 0.0 if h == tau else root(d) - stop
             err_prev = max(err_norm, _ERR_FLOOR)
         else:
@@ -346,17 +361,9 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
             det_rejects += err_det > err_entries
         h *= min(5.0, max(0.2, factor))
 
-    m = cfg.m
-    if m == k:
-        times = k_times
-    else:
-        times = [d0 ** (1.0 / m) - max(root(d0) - tk, 0.0) ** (k / m) for tk in k_times]
-    if m > 1:
-        slopes = [_rescale(vj, dj, m) for vj, dj in zip(slopes, dets)]
-    steps = np.diff(times)
+    steps = np.diff(k_times)
     interior = steps[:-1] if steps.size > 1 else steps
-    stats = StepStats(len(dense), err_rejects + singular_rejects,
-                      float(interior.min()) if interior.size else 0.0, rhs_calls,
+    stats = StepStats(len(dense), float(interior.min()) if interior.size else 0.0, rhs_calls,
                       err_rejects, singular_rejects, det_rejects)
-    return FlowTrajectory(list(zip(times, mats)), slopes, stats,
-                          contract_closed_form(B), cfg, k_times, dense, d0, k)
+    return FlowTrajectory(tuple(points), tuple(k_times), tuple(dense), stats,
+                          contract_closed_form(B), d0, k, cfg)

@@ -1,5 +1,5 @@
-"""File formats: matrix / pattern / contracted-point / polygon / polygon
-scenario JSON and the trajectory CSV.
+"""File formats: matrix / pattern / polygon / polygon scenario JSON and the
+trajectory CSV.
 
 All writers are atomic (temp file + rename) and floats round-trip exactly
 through JSON. Loaders raise ParseError with field context on malformed input.
@@ -16,9 +16,8 @@ import tempfile
 
 import numpy as np
 
-from .contraction import ContractedPoint
 from .errors import ParseError
-from .flow import FlowTrajectory, _diagnostics
+from .flow import FlowTrajectory, _diagnostics, _retime
 from .gelfand_tsetlin import GTPattern
 from .matrices import as_complex_matrix
 from .polygons import PolygonConfig
@@ -26,7 +25,7 @@ from .polygons import PolygonConfig
 __all__ = [
     "matrix_to_json", "matrix_from_json", "save_matrix", "load_matrix",
     "pattern_to_json", "pattern_from_json", "save_pattern", "load_pattern",
-    "contracted_to_json", "polygon_to_json", "polygon_from_json",
+    "polygon_to_json", "polygon_from_json",
     "save_polygon", "load_polygon", "scenario_from_json", "load_scenario",
     "save_trajectory", "atomic_write_text",
 ]
@@ -111,15 +110,6 @@ def save_pattern(path: str, P: GTPattern) -> None:
 
 def load_pattern(path: str) -> GTPattern:
     return pattern_from_json(_load_json(path), where=path)
-
-
-def contracted_to_json(cp: ContractedPoint) -> dict:
-    """Blocks are serialized as 1-based inclusive [lo, hi] index ranges."""
-    return {
-        "w": [float(v) for v in cp.w],
-        "g": matrix_to_json(cp.g),
-        "blocks": [[lo + 1, hi] for lo, hi in cp.partition.blocks],
-    }
 
 
 def polygon_to_json(P: PolygonConfig) -> dict:
@@ -212,12 +202,14 @@ def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None)
     if samples is None:
         ts, mats = traj.times(), traj.matrices()
     else:
-        ts = np.linspace(0.0, traj.samples[-1][0], int(samples))
+        ts = np.linspace(0.0, traj.times()[-1], int(samples))
         mats = [traj.at(float(t)) for t in ts]
     # the start leads the stack as the drift's base; its row is not written
-    Bs = np.stack([traj.samples[0][1], *mats, traj.terminal])
+    Bs = np.stack([traj.points[0], *mats, traj.terminal])
     dets, drift = _diagnostics(Bs)
-    ts = [0.0, *ts, traj.start_det ** (1.0 / traj.config.m)]
+    d0 = traj.start_det
+    # the unit-rate field reaches det = 0 at time d0
+    ts = [0.0, *ts, _retime(d0, 1, traj.config.m, d0)]
     rows = np.column_stack([ts, Bs.view(float).reshape(len(Bs), -1),
                             dets.real, dets.imag, drift])
     buf = io.StringIO()

@@ -10,6 +10,7 @@ criteria on the README workloads.
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from .contraction import (
     same_fiber,
     star_action,
 )
-from .flow import FlowConfig, integrate_flow, vfield
+from .flow import FlowConfig, _retime, integrate_flow, vfield
 from .gelfand_tsetlin import (
     OrbitFunction,
     enumerate_gt,
@@ -203,8 +204,10 @@ def check_flow_decay_law(rng, diagonals, random, ms):
     for m = 1 and 1e-6 for m > 1."""
     resid = {m: [] for m in ms}
     for B0 in _starts(rng, diagonals, random):
+        integrated = integrate_flow(B0)
         for m in ms:
-            resid[m].append(np.max(np.abs(integrate_flow(B0, FlowConfig(m=m)).law_residuals())))
+            traj = dataclasses.replace(integrated, config=FlowConfig(m=m))
+            resid[m].append(np.max(np.abs(traj.law_residuals())))
     return [_worst("flow-decay-law" if m == 1 else f"flow-decay-law-m{m}", v,
                    1e-7 if m == 1 else 1e-6, "law residual") for m, v in resid.items()]
 
@@ -228,9 +231,9 @@ def check_flow_equivariance(rng, trials):
 
 def _exact_dev(traj, t, M):
     """|M - B(t)| / |B0| for B the exact curve, reached at the unit-rate
-    time s = d0 - (d0^(1/m) - t)^m of time t of the m-flow traj."""
-    B0, m, d0 = traj.samples[0][1], traj.config.m, traj.start_det
-    s = d0 - max(d0 ** (1.0 / m) - t, 0.0) ** m
+    time s of time t of the m-flow traj."""
+    B0 = traj.points[0]
+    s = _retime(t, traj.config.m, 1, traj.start_det)
     return np.linalg.norm(M - flow_closed_form(B0, s)) / np.linalg.norm(B0)
 
 
@@ -248,8 +251,9 @@ def check_flow_exact_curve(rng, random, degenerate, ms):
             continue
         samples, at = [], []
         for B0 in starts:
+            integrated = integrate_flow(B0)
             for m in ms:
-                traj = integrate_flow(B0, FlowConfig(m=m))
+                traj = dataclasses.replace(integrated, config=FlowConfig(m=m))
                 samples += [_exact_dev(traj, t, M) for t, M in traj.samples]
                 at += [_exact_dev(traj, t, traj.at(t))
                        for t in np.linspace(0.0, traj.times()[-1], 12)]

@@ -10,7 +10,10 @@ import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
+
 import mflow
+from mflow.flow import integrate_flow
 
 _COMPARISON_TOL = {"validate_interlacing", "same_fiber", "contracted_equal"}
 _KNOBS = {"tol", "grad_floor", "scale", "integral", "traceless_part"}
@@ -77,3 +80,29 @@ def test_benchmark_traced_names_resolve():
             if not callable(obj):
                 unresolved.append(f"{module}.{attr}")
     assert len(layers) > 5 and unresolved == []
+
+
+def test_benchmark_trajectory_reads_resolve():
+    """Every attribute that the benchmark reads off a trajectory (`traj`) or
+    its step counts (`traj.step_stats`, `stats`) exists on a real
+    integrate_flow result, so a refactor of FlowTrajectory fails here and
+    not in the benchmark. The files are read with ast; nothing under bench/
+    is executed."""
+    bench = pathlib.Path(__file__).parents[1] / "bench"
+    reads = {"traj": set(), "stats": set()}
+    for path in ("workloads.py", "spans.py", "tests/test_bench.py"):
+        for node in ast.walk(ast.parse((bench / path).read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = ast.unparse(node.value)
+            if owner == "traj":
+                reads["traj"].add(node.attr)
+            elif owner in ("traj.step_stats", "stats"):
+                reads["stats"].add(node.attr)
+    traj = integrate_flow(np.diag([2.0, 0.5]))
+    unresolved = [f"traj.{a}" for a in sorted(reads["traj"]) if not hasattr(traj, a)]
+    unresolved += [f"stats.{a}" for a in sorted(reads["stats"])
+                   if not hasattr(traj.step_stats, a)]
+    assert {"samples", "terminal", "at"} <= reads["traj"]
+    assert {"accepted", "rejected"} <= reads["stats"]
+    assert unresolved == []

@@ -196,7 +196,6 @@ class TestTrees:
         assert t.n_leaves == 4
         assert t.is_trivalent()
         assert len(t.edges) == 5
-        assert len(t.internal_vertices()) == 2
 
     def test_parse_errors(self):
         long_label = "(1,2," + "9" * 5000 + ")"          # past int()'s digit limit

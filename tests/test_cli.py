@@ -632,14 +632,16 @@ class _Reads:
 @pytest.mark.parametrize("field", dataclasses.fields(Config), ids=lambda f: f.name)
 def test_config_field_reaches_its_consumer(field, tmp_path, monkeypatch, capsys):
     """An env value, then a flag value over it, reaches the code that reads
-    the field: integrate_flow for the flow fields, run_all for the seed."""
+    the field: the trajectory CSV's time axis for m (the integration itself
+    is the same for every m), run_all for the seed."""
     seen = {}
     real_flow = cli.integrate_flow
     monkeypatch.setattr(cli, "integrate_flow", lambda B0, cfg: real_flow(B0, _Reads(cfg, seen)))
     monkeypatch.setattr(cli, "run_all", lambda seed: seen.update(seed=seed) or [])
     src = str(tmp_path / "B.json")
     serialize.save_matrix(src, np.diag([2.0, 0.5]))
-    argv = {"flow": ["flow", "--in", src], "verify": ["verify"]}[_READER[field.name]]
+    flow_argv = ["flow", "--in", src, "--out", str(tmp_path / "t.csv")]
+    argv = {"flow": flow_argv, "verify": ["verify"]}[_READER[field.name]]
     env_value, flag_value = field.default + 1, field.default + 3
 
     monkeypatch.setenv(env_var_name(field.name), str(env_value))
@@ -658,14 +660,3 @@ class TestPatternJsonShape:
         serialize.save_pattern(path, P)
         obj = json.loads(open(path).read())
         assert [len(r) for r in obj["rows"]] == [2, 1]
-
-
-class TestContractedJson:
-    def test_shape(self):
-        from mflow.contraction import CotangentPoint, contract_point
-        cp = contract_point(CotangentPoint(np.eye(3), np.diag([2.0, 2.0, 1.0])))
-        obj = serialize.contracted_to_json(cp)
-        assert obj["w"] == [2.0, 2.0, 1.0]
-        assert obj["blocks"] == [[1, 2], [3, 3]]
-        M = serialize.matrix_from_json(obj["g"])
-        assert np.allclose(M, cp.g)

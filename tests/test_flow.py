@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -143,17 +144,6 @@ class TestVfield:
             sigma1 = np.linalg.norm(B, 2)
             assert abs(re_det - np.linalg.det(B).real) <= 1e-12 * sigma1 ** B.shape[0]
 
-    def test_matches_integrator_field(self):
-        # the integrator stores the field value at every accepted sample
-        rng = np.random.default_rng(71)
-        for n in (3, 4):
-            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            B = B / np.linalg.det(B) ** (1 / n)
-            for m in (1, 2, 3):
-                traj = integrate_flow(B, FlowConfig(m=m))
-                for (_, M), slope in zip(traj.samples, traj.slopes):
-                    assert np.array_equal(vfield(M, m=m), slope), (n, m)
-
 
 class TestIntegrateFlow:
     def test_sl2_diagonal_paper_endpoint(self):
@@ -258,6 +248,45 @@ class TestIntegrateFlow:
                 s_t = d0 - (d0 ** (1 / m) - t) ** m
                 assert np.linalg.norm(traj.at(t) - ref.at(s_t)) < 1e-14
 
+    @pytest.mark.parametrize("label", ["random SL(3)", "eye(3)", "s=(2,2,1/2,1/2)"])
+    def test_one_integration_serves_every_m(self, label):
+        # integrate_flow does not depend on m: the m = 1 integration viewed
+        # with config m is the flow of m, bit for bit
+        B0 = {"random SL(3)": _random_sl(3, np.random.default_rng(107)),
+              "eye(3)": np.eye(3), "s=(2,2,1/2,1/2)": DEGENERATE[3][1]}[label]
+        base = integrate_flow(B0)
+        for m in (1, 2, 3):
+            view = dataclasses.replace(base, config=FlowConfig(m=m))
+            traj = integrate_flow(B0, FlowConfig(m=m))
+            assert np.array_equal(view.times(), traj.times())
+            assert len(view.samples) == len(traj.samples)
+            for (t, M), (u, N) in zip(view.samples, traj.samples):
+                assert t == u and np.array_equal(M, N)
+            for t in np.linspace(0.0, traj.times()[-1], 9):
+                assert np.array_equal(view.at(t), traj.at(t))
+            assert np.array_equal(view.law_residuals(), traj.law_residuals())
+            assert np.array_equal(view.momentum_drift(), traj.momentum_drift())
+            assert np.array_equal(view.terminal, traj.terminal)
+            assert view.step_stats == traj.step_stats == base.step_stats
+
+    def test_trajectory_is_a_frozen_record(self):
+        traj = integrate_flow(np.diag([2.0, 0.5]), FlowConfig(m=2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.config = FlowConfig(m=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.step_stats.accepted = 0
+        assert not hasattr(traj, "slopes")
+        # apart from config, no field depends on m
+        m1 = integrate_flow(np.diag([2.0, 0.5]))
+        for f in dataclasses.fields(traj):
+            a, b = getattr(traj, f.name), getattr(m1, f.name)
+            if f.name == "config":
+                assert (a.m, b.m) == (2, 1)
+            elif isinstance(a, tuple):
+                assert len(a) == len(b) and all(map(np.array_equal, a, b)), f.name
+            else:
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
     def test_dense_output_interpolates_and_is_continuous(self):
         rng = np.random.default_rng(89)
         B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -269,10 +298,11 @@ class TestIntegrateFlow:
                 # theta -> 1 within step k lands on sample k + 1 (the 5th-order step)
                 left = traj.at(np.nextafter(ts[k + 1], 0.0))
                 assert np.linalg.norm(left - traj.samples[k + 1][1]) < 1e-12
-                # and the quartic's slope at theta = 1 is the stored field value
+                # and the quartic's slope at theta = 1 is the field value there
                 h = 1e-6 * (ts[k + 1] - t)
                 slope = (traj.at(ts[k + 1]) - traj.at(ts[k + 1] - h)) / h
-                assert np.linalg.norm(slope - traj.slopes[k + 1]) < 1e-5 * np.linalg.norm(slope)
+                field = vfield(traj.samples[k + 1][1], 1)
+                assert np.linalg.norm(slope - field) < 1e-5 * np.linalg.norm(slope)
 
     def test_exact_landing_on_the_stop_fiber(self):
         rng = np.random.default_rng(97)
@@ -332,9 +362,9 @@ class TestIntegrateFlow:
             stats = traj.step_stats
             # one FSAL start plus six stages per attempted step
             assert stats.rhs_calls == 1 + 6 * (stats.accepted + stats.rejected)
-            steps = np.diff(traj.times())
-            assert stats.accepted == len(steps) >= 2
-            assert stats.min_step == np.min(steps[:-1])
+            assert stats.accepted == len(traj.times()) - 1 >= 2
+            # min_step is measured in the k-time, which is the same for every m
+            assert stats.min_step == np.min(np.diff(traj.k_times)[:-1])
             assert stats.rejected == stats.err_rejects + stats.singular_rejects
             assert 0 <= stats.det_rejects <= stats.err_rejects
         # a simple but nearly double smallest singular value (k = 1): the

@@ -69,3 +69,17 @@ def test_check_names_are_unique_and_stable_across_seeds():
 def test_smoke_workload_passes(seed):
     failed = [(m.name, m.detail, m.numbers) for m in verify.run_all(seed) if not m.passed]
     assert failed == []
+
+
+@pytest.mark.parametrize("check, workload, starts", [
+    (verify.check_flow_decay_law, {"diagonals": ((2.0, 0.5),), "random": ((3, 2),)}, 3),
+    (verify.check_flow_exact_curve, {"random": ((3, 2),), "degenerate": (np.eye(3),)}, 3),
+], ids=["decay-law", "exact-curve"])
+def test_flow_checks_integrate_each_start_once(check, workload, starts, monkeypatch):
+    # one integration serves every m: each start is viewed at m = 1, 2, 3
+    calls = []
+    real = verify.integrate_flow
+    monkeypatch.setattr(verify, "integrate_flow", lambda *a: calls.append(a) or real(*a))
+    results = verify.run_check(check, 11, ms=(1, 2, 3), **workload)
+    assert all(m.passed for m in results)
+    assert len(calls) == starts
