@@ -16,7 +16,6 @@ from .branching import (
 )
 from .config import Config, load_config
 from .contraction import (
-    BlockPartition,
     ContractedPoint,
     CotangentPoint,
     contract_closed_form,

@@ -151,7 +151,7 @@ def cmd_flow(args, cfg) -> int:
           f"err_rejects={stats.err_rejects} singular_rejects={stats.singular_rejects} "
           f"det_rejects={stats.det_rejects} k={traj.time_exponent}")
     print(f"terminal |det|={abs(np.linalg.det(traj.terminal)):.3e} "
-          f"mu_drift={traj.momentum_drift().max():.3e}")
+          f"mu_drift={traj.momentum_drift().max():.3e} t_last={traj.times()[-1]:.17g}")
     return 0
 
 

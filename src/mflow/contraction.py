@@ -3,7 +3,7 @@
 contract_closed_form sends B to U sqrt(B*B - l_min I) with B = U P polar,
 collapsing the flow of the determinant gradient field in one step, and
 flow_closed_form gives that flow's whole m = 1 curve in closed form;
-contract_point produces the normal form (w, g, blocks) of a cotangent pair,
+contract_point produces the normal form (w, g) of a cotangent pair,
 and same_fiber decides the underlying equivalence relation: equal momentum
 and a ratio lying in the commutator of its stabilizer. star_action is the
 extra torus symmetry acting through the diagonalizer of a leading submatrix.
@@ -28,7 +28,6 @@ from .matrices import (
 
 __all__ = [
     "CotangentPoint",
-    "BlockPartition",
     "ContractedPoint",
     "contract_closed_form",
     "flow_closed_form",
@@ -61,46 +60,17 @@ def _frozen(M: np.ndarray) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class BlockPartition:
-    """Contiguous index ranges grouping equal eigenvalues, values strictly down."""
-
-    blocks: tuple
-    block_values: tuple
-
-    def __post_init__(self):
-        hi_prev = 0
-        for lo, hi in self.blocks:
-            if lo != hi_prev or hi <= lo:
-                raise InvariantViolation("blocks must be contiguous and exhaustive")
-            hi_prev = hi
-        vals = self.block_values
-        if any(vals[i] <= vals[i + 1] for i in range(len(vals) - 1)):
-            raise InvariantViolation("block values must strictly decrease")
-
-    @property
-    def n(self) -> int:
-        return self.blocks[-1][1] if self.blocks else 0
-
-
-def partition_from_spectrum(w) -> BlockPartition:
-    blocks = tuple(eigenvalue_blocks(w))
-    values = tuple(float(np.mean(w[lo:hi])) for lo, hi in blocks)
-    return BlockPartition(blocks, values)
-
-
-@dataclasses.dataclass(frozen=True)
 class ContractedPoint:
     """Normal form of a contracted cotangent point.
 
-    w is the diagonalized momentum, g = k h* carries the residual unitary
-    data (h v h* = diag(w)), and partition certifies the block ambiguity.
-    Equality of contracted points is a predicate (contracted_equal), not
-    representative identity.
+    w is the diagonalized momentum and g = k h* carries the residual unitary
+    data (h v h* = diag(w)). Its blocks are eigenvalue_blocks(w): two normal
+    forms are equal (contracted_equal) when g_a* g_b lies in the product of
+    the blocks' special unitary groups, even if their g differ.
     """
 
     w: np.ndarray
     g: np.ndarray
-    partition: BlockPartition
 
 
 def contract_closed_form(B) -> np.ndarray:
@@ -160,14 +130,13 @@ def flow_closed_form(B, s: float) -> np.ndarray:
 
 
 def contract_point(x: CotangentPoint) -> ContractedPoint:
-    """Normal form (w, g, blocks) with h v h* = diag(w) and g = k h*."""
+    """Normal form (w, g) with h v h* = diag(w) and g = k h*."""
     w, U = _eigh(x.v)
     # h = U* diagonalizes v, so g = k h* = k U.
-    g = x.k @ U
-    return ContractedPoint(w, g, partition_from_spectrum(w))
+    return ContractedPoint(w, x.k @ U)
 
 
-def _block_special_unitary_defect(C: np.ndarray, partition: BlockPartition) -> float:
+def _block_special_unitary_defect(C: np.ndarray, blocks: list) -> float:
     """Distance of C from the product of block special-unitary groups.
 
     Returns the larger of the maximal off-block entry and the maximal
@@ -175,7 +144,7 @@ def _block_special_unitary_defect(C: np.ndarray, partition: BlockPartition) -> f
     """
     defect = 0.0
     mask = np.ones(C.shape, dtype=bool)
-    for lo, hi in partition.blocks:
+    for lo, hi in blocks:
         mask[lo:hi, lo:hi] = False
         defect = max(defect, abs(np.linalg.det(C[lo:hi, lo:hi]) - 1.0))
     off = np.max(np.abs(C[mask])) if mask.any() else 0.0
@@ -187,17 +156,17 @@ def same_fiber(x: CotangentPoint, y: CotangentPoint, tol: float) -> bool:
 
     True iff the momenta agree (max|v_x - v_y| <= tol) and, with h the sorted
     diagonalizer of v_x, the ratio h (k_x* k_y) h* lies in the product of
-    block special-unitary groups of the eigenvalue partition: block-diagonal
-    within tol with every diagonal block of determinant 1 within tol.
+    block special-unitary groups of the eigenvalue_blocks of the spectrum of
+    v_x: block-diagonal within tol with every diagonal block of determinant 1
+    within tol.
     """
     if x.v.shape != y.v.shape:
         return False
     if np.max(np.abs(x.v - y.v)) > tol:
         return False
     w, U = _eigh(x.v)
-    partition = partition_from_spectrum(w)
     C = U.conj().T @ (x.k.conj().T @ y.k) @ U
-    return _block_special_unitary_defect(C, partition) <= tol
+    return _block_special_unitary_defect(C, eigenvalue_blocks(w)) <= tol
 
 
 def contracted_equal(a: ContractedPoint, b: ContractedPoint, tol: float) -> bool:
@@ -209,10 +178,11 @@ def contracted_equal(a: ContractedPoint, b: ContractedPoint, tol: float) -> bool
     """
     if a.w.shape != b.w.shape or np.max(np.abs(a.w - b.w)) > tol:
         return False
-    if a.partition.blocks != b.partition.blocks:
+    blocks = eigenvalue_blocks(a.w)
+    if blocks != eigenvalue_blocks(b.w):
         return False
     C = a.g.conj().T @ b.g
-    return _block_special_unitary_defect(C, a.partition) <= tol
+    return _block_special_unitary_defect(C, blocks) <= tol
 
 
 def star_action(A, level: int, phases) -> np.ndarray:

@@ -107,9 +107,6 @@ class FlowTrajectory:
     def times(self) -> np.ndarray:
         return self._times.copy()
 
-    def matrices(self) -> list:
-        return list(self.points)
-
     def determinants(self) -> np.ndarray:
         return np.linalg.det(np.stack(self.points))
 

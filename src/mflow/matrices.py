@@ -90,11 +90,7 @@ def eigenvalue_blocks(w):
     CLUSTER_TOL (1 + max|w|).
     """
     v = np.asarray(w, dtype=float).ravel().tolist()
-    return _blocks(v, CLUSTER_TOL * (1.0 + max(map(abs, v), default=0.0)))
-
-
-def _blocks(v: list, gap: float) -> list:
-    """eigenvalue_blocks of the float list v with the absolute gap."""
+    gap = CLUSTER_TOL * (1.0 + max(map(abs, v), default=0.0))
     blocks = []
     lo = 0
     for i in range(1, len(v)):
@@ -117,26 +113,13 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
     return U * (z.conj() / np.abs(z))
 
 
-def _gram_schmidt(cols: np.ndarray) -> np.ndarray:
-    out = cols.copy()
-    for j in range(out.shape[1]):
-        for k in range(j):
-            out[:, j] -= (out[:, k].conj() @ out[:, j]) * out[:, k]
-        nrm = np.linalg.norm(out[:, j])
-        if nrm > 0:
-            out[:, j] /= nrm
-    return out
-
-
 def eig_hermitian(A):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, U) with w weakly decreasing and U unitary such that
-    U* A U = diag(w). Within each eigenvalue cluster the basis is
-    re-orthonormalized in place (Gram-Schmidt in column order) and each
-    column's phase is fixed so the first sizable component is real positive,
-    which makes the output deterministic. A spectrum that overflows float64
-    is refused with InvariantViolation.
+    U* A U = diag(w). Each column's phase is fixed so the first sizable
+    component is real positive, which makes the output deterministic. A
+    spectrum that overflows float64 is refused with InvariantViolation.
     """
     return _eigh(check_hermitian(A))
 
@@ -152,17 +135,12 @@ def _eigh(M: np.ndarray):
     H = 0.5 * M
     vals, vecs = np.linalg.eigh(H + H.conj().T)
     w = vals[::-1].copy()
-    U = vecs[:, ::-1]
     v = w.tolist()
     if not all(map(math.isfinite, v)):
         raise InvariantViolation("matrix spectrum overflows float64")
     if not v:
-        return w, U.copy()
-    scale = max(abs(v[0]), abs(v[-1]))      # v is sorted
-    for lo, hi in _blocks(v, CLUSTER_TOL * (1.0 + scale)):
-        if hi - lo > 1:
-            U[:, lo:hi] = _gram_schmidt(U[:, lo:hi])
-    return w, _fix_phases(U)
+        return w, vecs
+    return w, _fix_phases(vecs[:, ::-1])
 
 
 def polar_decompose(B):

@@ -32,10 +32,9 @@ BEND_FLOOR = 1e-12    # bend axes no longer than this are undefined
 
 @dataclasses.dataclass(frozen=True)
 class PolygonConfig:
-    """Closed polygon given by its n edge vectors in R^3."""
+    """Closed polygon given by its n edge vectors in R^3, of length 0 or more."""
 
     edges: np.ndarray
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         E = np.asarray(self.edges, dtype=float)
@@ -48,8 +47,6 @@ class PolygonConfig:
         closure = np.linalg.norm(E.sum(axis=0))
         if closure > CLOSURE_TOL * max(norms.max(), 1e-300):
             raise InvariantViolation(f"polygon does not close: |sum e_i| = {closure:.3e}")
-        if not self.allow_degenerate and norms.min() <= 0.0:
-            raise InvariantViolation("zero-length edge (pass allow_degenerate to permit)")
 
     @property
     def n(self) -> int:
@@ -148,7 +145,7 @@ def build_polygon(r, d, angles) -> PolygonConfig:
         verts[k + 2:] = verts[k + 2:] @ R.T
 
     edges = np.diff(np.vstack([verts, np.zeros(3)]), axis=0)
-    return PolygonConfig(edges, allow_degenerate=bool(np.min(r) <= 0.0))
+    return PolygonConfig(edges)
 
 
 def _rodrigues(unit_axis: np.ndarray, theta: float) -> np.ndarray:
@@ -188,7 +185,7 @@ def bend(P: PolygonConfig, diagonal, theta: float) -> PolygonConfig:
     edges = P.edges.copy()
     edges[idx] = edges[idx] @ R.T
     # re-pin the closure: rotation fixes the run sum exactly up to rounding
-    return PolygonConfig(edges, allow_degenerate=P.allow_degenerate)
+    return PolygonConfig(edges)
 
 
 def measure_caterpillar(P: PolygonConfig):

@@ -67,7 +67,7 @@ def matrix_to_json(M) -> dict:
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     try:
-        n = int(obj["n"])
+        n = _integer(obj["n"])
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected fields 'n' and 'entries'") from exc
@@ -78,7 +78,8 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     if not square:
         raise ParseError(f"{where}: entries are not an {n}x{n} array")
     try:
-        M = np.array([[complex(re, im) for re, im in row] for row in entries])
+        M = np.array([[complex(_number(re), _number(im)) for re, im in row]
+                      for row in entries])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: entries must be [re, im] pairs") from exc
     return M
@@ -132,13 +133,18 @@ def load_polygon(path: str) -> PolygonConfig:
     return polygon_from_json(_load_json(path), where=path)
 
 
-def _finite(value) -> float:
-    """A JSON number as a float, refusing strings, booleans, NaN and
-    infinities. The pattern, polygon and scenario loaders read their numbers
-    through it, so anything else is a ParseError."""
+def _number(value) -> float:
+    """A JSON number as a float, refusing strings and booleans. Matrix
+    entries are read through it, so a NaN entry reaches the matrix check."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {type(value).__name__}")
-    x = float(value)
+    return float(value)
+
+
+def _finite(value) -> float:
+    """A _number that is finite. The pattern, polygon and scenario loaders
+    read their numbers through it, so anything else is a ParseError."""
+    x = _number(value)
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {x}")
     return x
@@ -200,7 +206,7 @@ def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None)
     header += ["det_re", "det_im", "mu_drift"]
 
     if samples is None:
-        ts, mats = traj.times(), traj.matrices()
+        ts, mats = traj.times(), traj.points
     else:
         ts = np.linspace(0.0, traj.times()[-1], int(samples))
         mats = [traj.at(float(t)) for t in ts]

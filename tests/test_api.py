@@ -16,7 +16,7 @@ import mflow
 from mflow.flow import integrate_flow
 
 _COMPARISON_TOL = {"validate_interlacing", "same_fiber", "contracted_equal"}
-_KNOBS = {"tol", "grad_floor", "scale", "integral", "traceless_part"}
+_KNOBS = {"tol", "grad_floor", "scale", "integral", "traceless_part", "allow_degenerate"}
 
 
 def _public():

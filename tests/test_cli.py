@@ -74,9 +74,14 @@ class TestSerialize:
          {"r": [1, 1, 1, 1], "bends": [{"diagonal": [1.0, 2.0], "theta": 0.5}]}),
         (serialize.scenario_from_json,
          {"r": [1, 1, 1, 1], "bends": [{"diagonal": [True, 2], "theta": 0.5}]}),
+        (serialize.matrix_from_json, {"n": 1.9, "entries": [[[1, 0]]]}),
+        (serialize.matrix_from_json, {"n": True, "entries": [[[1, 0]]]}),
+        (serialize.matrix_from_json, {"n": "1", "entries": [[[1, 0]]]}),
+        (serialize.matrix_from_json, {"n": 1, "entries": [[[True, False]]]}),
     ], ids=["pattern-string", "pattern-bool", "polygon-string", "polygon-bool",
             "scenario-string", "scenario-bool", "scenario-null", "theta-string",
-            "diagonal-fraction", "diagonal-float", "diagonal-bool"])
+            "diagonal-fraction", "diagonal-float", "diagonal-bool",
+            "matrix-n-fraction", "matrix-n-bool", "matrix-n-string", "matrix-entry-bool"])
     def test_loaders_refuse_values_that_are_not_numbers(self, load, obj):
         with pytest.raises(ParseError):
             load(obj)
@@ -101,10 +106,14 @@ class TestSerialize:
 
     def test_polygon_round_trip(self, tmp_path):
         from mflow.polygons import build_polygon
-        P = build_polygon((1, 1, 1, 1), (np.sqrt(2),), (0.4,))
         path = str(tmp_path / "poly.json")
-        serialize.save_polygon(path, P)
-        assert serialize.load_polygon(path).edges.tobytes() == P.edges.tobytes()
+        # the last two have a zero-length side, which the polygon monoid allows
+        for r, d, angles in [((1, 1, 1, 1), (np.sqrt(2),), (0.4,)),
+                             ((0, 1, 1), (), ()),
+                             ((1, 1, 1, 1, 0), (np.sqrt(2), 1), (0.4, 0.3))]:
+            P = build_polygon(r, d, angles)
+            serialize.save_polygon(path, P)
+            assert serialize.load_polygon(path).edges.tobytes() == P.edges.tobytes()
 
     def test_trajectory_csv_last_row_is_terminal(self, tmp_path):
         traj = integrate_flow(np.diag([2.0, 0.5]))
@@ -293,6 +302,18 @@ class TestCli:
         assert main(["flow", "--in", src]) == 0
         assert capsys.readouterr().out.splitlines()[0].endswith(" k=3")
 
+    def test_flow_prints_t_last_in_the_clock_of_m(self, tmp_path, capsys):
+        src = str(tmp_path / "B.json")
+        B = np.diag([3.0, 0.5])
+        serialize.save_matrix(src, B)
+        t_last = {}
+        for m in (1, 2):
+            assert main(["flow", "--in", src, "--m", str(m)]) == 0
+            terminal = capsys.readouterr().out.splitlines()[1]
+            t_last[m] = float(terminal.split(" t_last=")[1])
+            assert t_last[m] == integrate_flow(B, Config(m=m)).times()[-1]
+        assert t_last[1] != t_last[2]
+
     def test_contract_stdout(self, tmp_path, capsys):
         src = str(tmp_path / "B.json")
         serialize.save_matrix(src, np.diag([2.0, 0.5]))
@@ -367,6 +388,12 @@ class TestCli:
         path.write_text("{not json")
         assert main(["gt-pattern", "--in", str(path)]) == 2
         assert "ParseError" in capsys.readouterr().err
+
+    def test_nan_matrix_entry_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "B.json"
+        path.write_text(json.dumps({"n": 1, "entries": [[[float("nan"), 0]]]}))
+        assert main(["flow", "--in", str(path)]) == 1
+        assert "InvariantViolation" in capsys.readouterr().err
 
     def test_domain_error_exit_1_names_error(self, tmp_path, capsys):
         src = str(tmp_path / "B.json")

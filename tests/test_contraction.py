@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mflow.contraction import (
-    BlockPartition,
     ContractedPoint,
     CotangentPoint,
     contract_closed_form,
@@ -15,7 +14,7 @@ from mflow.contraction import (
 from mflow.errors import InvariantViolation, PrincipalStratumViolation
 from mflow.flow import integrate_flow, vfield
 from mflow.gelfand_tsetlin import gt_pattern
-from mflow.matrices import haar_special_unitary, haar_unitary, traceless
+from mflow.matrices import eigenvalue_blocks, haar_special_unitary, haar_unitary, traceless
 
 
 def random_sl(n, rng):
@@ -123,7 +122,7 @@ class TestContractPoint:
         cp = contract_point(CotangentPoint(np.eye(2), np.diag([3.0, 1.0])))
         assert np.allclose(cp.w, [3.0, 1.0])
         assert np.allclose(cp.g, np.eye(2))
-        assert cp.partition.blocks == ((0, 1), (1, 2))
+        assert eigenvalue_blocks(cp.w) == [(0, 1), (1, 2)]
 
     def test_offdiagonal_momentum(self):
         v = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -263,12 +262,6 @@ class TestTypes:
             assert not M.flags.writeable
             with pytest.raises(ValueError):
                 M[0, 0] = 3.0
-
-    def test_block_partition_validation(self):
-        with pytest.raises(Exception):
-            BlockPartition(((0, 1), (2, 3)), (2.0, 1.0))
-        with pytest.raises(Exception):
-            BlockPartition(((0, 2), (2, 3)), (1.0, 1.0))
 
     def test_contracted_point_json_fields(self):
         cp = contract_point(CotangentPoint(np.eye(2), np.diag([2.0, 1.0])))

@@ -181,7 +181,7 @@ class TestIntegrateFlow:
         for n in (2, 3, 5):
             B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             traj = integrate_flow(B / np.linalg.det(B) ** (1 / n))
-            mats = traj.matrices()
+            mats = traj.points
             base = traceless(mats[0].conj().T @ mats[0])
             drift = [np.max(np.abs(traceless(M.conj().T @ M) - base)) for M in mats]
             dets = np.array([np.linalg.det(M) for M in mats])
@@ -239,7 +239,7 @@ class TestIntegrateFlow:
         s = ref.times()
         for m in (2, 3):
             traj = integrate_flow(B, FlowConfig(m=m))
-            assert all(np.array_equal(M, R) for M, R in zip(traj.matrices(), ref.matrices()))
+            assert all(np.array_equal(M, R) for M, R in zip(traj.points, ref.points))
             assert traj.step_stats.accepted == ref.step_stats.accepted
             d0 = traj.start_det
             expected = d0 ** (1 / m) - np.maximum(d0 - s, 0.0) ** (1 / m)

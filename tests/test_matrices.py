@@ -88,12 +88,20 @@ class TestEigHermitian:
 
     def test_degenerate_cluster_still_diagonalizes(self):
         rng = np.random.default_rng(11)
-        V = haar_unitary(4, rng)
-        A = V @ np.diag([2.0, 2.0, 2.0, -1.0]) @ V.conj().T
-        A = 0.5 * (A + A.conj().T)
-        w, U = eig_hermitian(A)
-        assert np.linalg.norm(U @ np.diag(w) @ U.conj().T - A) < 1e-10
-        assert eigenvalue_blocks(w) == [(0, 3), (3, 4)]
+        for spectrum, blocks in [
+            ([2.0, 2.0, 2.0, -1.0], [(0, 3), (3, 4)]),
+            ([1.0, 1.0, 1.0 - 1e-9, 0.0, 0.0], [(0, 3), (3, 5)]),
+            ([3.0] * 6 + [-3.0] * 4 + [-5.0] * 6, [(0, 6), (6, 10), (10, 16)]),
+        ]:
+            n = len(spectrum)
+            V = haar_unitary(n, rng)
+            A = V @ np.diag(spectrum) @ V.conj().T
+            A = 0.5 * (A + A.conj().T)
+            w, U = eig_hermitian(A)
+            assert np.linalg.norm(U @ np.diag(w) @ U.conj().T - A) < 1e-10
+            # LAPACK's eigenvectors stay orthonormal within each cluster
+            assert np.max(np.abs(U.conj().T @ U - np.eye(n))) < 1e-13
+            assert eigenvalue_blocks(w) == blocks
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolation):

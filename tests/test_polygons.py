@@ -184,7 +184,6 @@ class TestPolygonConfig:
 
     def test_degenerate_edge_flag(self):
         E = np.array([[1, 0, 0], [0, 0, 0], [-1, 0, 0], [0, 0, 0]], dtype=float)
-        with pytest.raises(InvariantViolation):
-            PolygonConfig(E)
-        P = PolygonConfig(E, allow_degenerate=True)
+        P = PolygonConfig(E)
         assert P.n == 4
+        assert P.side_lengths().tolist() == [1.0, 0.0, 1.0, 0.0]
