@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
+from .branching import _integers
 from .errors import InvariantViolation, ParseError
 
 
@@ -24,6 +25,11 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        # integral floats and numpy ints are stored as ints; NaN, infinities
+        # and fractions raise InvariantViolation
+        for f in dataclasses.fields(self):
+            (value,) = _integers((getattr(self, f.name),), f.name)
+            object.__setattr__(self, f.name, value)
         if self.m < 1:
             raise InvariantViolation("normalization index m must be >= 1")
         if self.seed < 0:

@@ -107,19 +107,27 @@ class FlowTrajectory:
     def times(self) -> np.ndarray:
         return self._times.copy()
 
+    @cached_property
+    def _dets_and_drift(self) -> tuple:
+        """_diagnostics of the stacked points, once per trajectory."""
+        return _diagnostics(np.stack(self.points))
+
     def determinants(self) -> np.ndarray:
-        return np.linalg.det(np.stack(self.points))
+        return self._dets_and_drift[0].copy()
 
     def momentum_drift(self) -> np.ndarray:
         """Max-norm deviation of the traceless right momentum from t = 0."""
-        return _diagnostics(np.stack(self.points))[1]
+        return self._dets_and_drift[1].copy()
 
     def at(self, t: float) -> np.ndarray:
         """B(t) from the quartic dense output of the step containing t.
 
         The dense output is defined in the k-time, to which t is mapped
-        first. Times outside the samples give the first or the last sample.
+        first. Times outside the samples give the first or the last sample;
+        a NaN time raises InvariantViolation.
         """
+        if math.isnan(t):
+            raise InvariantViolation("trajectory time must not be NaN")
         ts = self._times
         if t <= ts[0]:
             return self.points[0]
@@ -136,7 +144,7 @@ class FlowTrajectory:
         """Re det(B(t)) minus the exact decay law (d0^(1/m) - t)^m."""
         m = self.config.m
         expected = np.maximum(self.start_det ** (1.0 / m) - self._times, 0.0) ** m
-        return self.determinants().real - expected
+        return self._dets_and_drift[0].real - expected
 
 
 def _diagnostics(Bs: np.ndarray):
@@ -187,11 +195,11 @@ def _rescale(V: np.ndarray, re_det: float, m: int) -> np.ndarray:
 def vfield(A, m: int = 1) -> np.ndarray:
     """Normalized downhill field: -grad/|grad|^2 times m (Re det)^(1 - 1/m).
 
-    m = 1 is the unit-rate normalization with <V, grad Re det> = -1.
+    m = 1 is the unit-rate normalization with <V, grad Re det> = -1. m is
+    read as Config reads it, before the field is evaluated.
     """
+    m = Config(m=m).m
     V, re_det = _field(as_complex_matrix(A), m)
-    if m < 1:
-        raise InvariantViolation("normalization index m must be >= 1")
     if m > 1 and re_det < 0.0:
         raise InvariantViolation("vfield with m > 1 requires Re det(A) >= 0")
     return V

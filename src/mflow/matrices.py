@@ -160,11 +160,13 @@ def polar_decompose(B):
 def adjugate(A) -> np.ndarray:
     """Adjugate (transposed cofactor matrix): A @ adjugate(A) = det(A) I.
 
-    Explicit cofactors for n <= 3. For n >= 4 it comes from one SVD
-    A = W S V*: adj(A) = det(W V*) V diag(prod_{j != i} s_j) W*, with the
-    products formed from prefix and suffix products. No division occurs, so
-    the result stays accurate on and near the singular fiber (G. W. Stewart,
-    "On the adjugate matrix", Linear Algebra Appl. 283, 1998).
+    Explicit cofactors for n <= 4; at n = 4 they are the Laplace expansion
+    by the 2 x 2 minors of rows (0, 1) and of rows (2, 3). For n >= 5 it
+    comes from one SVD A = W S V*: adj(A) = det(W V*) V diag(prod_{j != i}
+    s_j) W*, with the products formed from prefix and suffix products.
+    Neither formula divides, so the result stays accurate on and near the
+    singular fiber (G. W. Stewart, "On the adjugate matrix", Linear Algebra
+    Appl. 283, 1998).
     """
     M = as_complex_matrix(A)
     n = M.shape[0]
@@ -180,6 +182,24 @@ def adjugate(A) -> np.ndarray:
             [e * i - f * h, c * h - b * i, b * f - c * e],
             [f * g - d * i, a * i - c * g, c * d - a * f],
             [d * h - e * g, b * g - a * h, a * e - b * d],
+        ], dtype=complex)
+    if n == 4:
+        # sIJ / tIJ: the minor of columns I, J in rows (0, 1) / rows (2, 3);
+        # each cofactor is three products of an entry with a minor
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = M.tolist()
+        s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        s12, s13, s23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+        t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+        return np.array([
+            [b1 * t23 - b2 * t13 + b3 * t12, a2 * t13 - a1 * t23 - a3 * t12,
+             d1 * s23 - d2 * s13 + d3 * s12, c2 * s13 - c1 * s23 - c3 * s12],
+            [b2 * t03 - b0 * t23 - b3 * t02, a0 * t23 - a2 * t03 + a3 * t02,
+             d2 * s03 - d0 * s23 - d3 * s02, c0 * s23 - c2 * s03 + c3 * s02],
+            [b0 * t13 - b1 * t03 + b3 * t01, a1 * t03 - a0 * t13 - a3 * t01,
+             d0 * s13 - d1 * s03 + d3 * s01, c1 * s03 - c0 * s13 - c3 * s01],
+            [b1 * t02 - b0 * t12 - b2 * t01, a0 * t12 - a1 * t02 + a2 * t01,
+             d1 * s02 - d0 * s12 - d2 * s01, c0 * s12 - c1 * s02 + c2 * s01],
         ], dtype=complex)
     W, s, Vh = np.linalg.svd(M)
     # others[i] = (s_0 ... s_{i-1}) (s_{n-1} ... s_{i+1}), each product taken

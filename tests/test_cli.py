@@ -17,7 +17,7 @@ from mflow import flow
 from mflow import verify
 from mflow.cli import main
 from mflow.config import Config, env_var_name, flag_name
-from mflow.errors import DomainError, ParseError
+from mflow.errors import DomainError, InvariantViolation, ParseError
 from mflow.flow import integrate_flow
 from mflow.gelfand_tsetlin import GTPattern, gt_pattern
 
@@ -538,6 +538,20 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("ParseError") and flag in err
+
+    @pytest.mark.parametrize("kwargs", [
+        {"m": float("nan")}, {"m": 2.5}, {"m": float("inf")}, {"m": "2"},
+        {"seed": float("nan")}, {"seed": -float("inf")}, {"seed": 0.5},
+    ])
+    def test_config_refuses_values_that_are_not_integers(self, kwargs):
+        with pytest.raises(InvariantViolation):
+            Config(**kwargs)
+
+    def test_config_stores_integral_values_as_ints(self):
+        cfg = Config(m=np.float64(2.0), seed=np.int64(3))
+        assert cfg == Config(m=2, seed=3)
+        assert type(cfg.m) is int and type(cfg.seed) is int
+        assert cfg.describe() == "m = 2\nseed = 3"
 
     def test_show_config_out_of_range_override_exit_1(self, capsys):
         assert main(["--show-config", "flow", "--m", "0"]) == 1

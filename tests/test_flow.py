@@ -114,6 +114,12 @@ class TestVfield:
         with pytest.raises(InvariantViolation):
             vfield(A, m=2)
 
+    @pytest.mark.parametrize("m", [float("nan"), float("inf"), 2.5, 0, "2"])
+    def test_m_is_checked_before_the_field(self, m, monkeypatch):
+        monkeypatch.setattr(flow, "_field", lambda *args: pytest.fail("field evaluated"))
+        with pytest.raises(InvariantViolation):
+            vfield(np.eye(3), m=m)
+
     def test_power_normalization_identity(self):
         # V for det equals the m-normalized field of det^m on the real slice.
         rng = np.random.default_rng(47)
@@ -189,6 +195,13 @@ class TestIntegrateFlow:
             scale = np.max(np.abs(mats[0].conj().T @ mats[0]))
             assert np.max(np.abs(traj.momentum_drift() - drift)) <= 1e-14 * scale
             assert np.all(np.abs(traj.determinants() - dets) <= 1e-14 * np.abs(dets))
+            # one pass serves both, and a caller's edit of a result stays its own
+            assert np.array_equal(traj.determinants(), np.linalg.det(np.stack(mats)))
+            traj.determinants()[:] = 0.0
+            traj.momentum_drift()[:] = 1.0
+            law = traj.law_residuals()
+            assert traj.determinants().all() and not traj.momentum_drift()[0]
+            assert np.array_equal(law, traj.law_residuals())
 
     def test_terminal_is_closed_form_of_last_sample(self):
         traj = integrate_flow(np.diag([2.0, 0.5]))
@@ -292,6 +305,9 @@ class TestIntegrateFlow:
         B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         traj = integrate_flow(B / np.linalg.det(B) ** (1 / 3))
         ts = traj.times()
+        assert traj.at(-np.inf) is traj.points[0] and traj.at(np.inf) is traj.points[-1]
+        with pytest.raises(InvariantViolation):
+            traj.at(np.nan)
         for k, (t, M) in enumerate(traj.samples):
             assert np.array_equal(traj.at(t), M)
             if k + 1 < len(ts):

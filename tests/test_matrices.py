@@ -273,9 +273,26 @@ class TestAdjugate:
 
     def test_small_n_formulas_match_minors(self):
         rng = np.random.default_rng(31)
-        for n in (2, 3):
+        for n in (2, 3, 4):
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             assert np.max(np.abs(adjugate(A) - adjugate_by_minors(A))) < 1e-13
+        # 4 x 4: entries scaled by 10^-6 .. 10^6, rank 3, rank 2 and zero
+        cases = [rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-6, 7, (4, 4))
+                 + 1j * rng.standard_normal((4, 4)) for _ in range(50)]
+        for rank in (3, 2):
+            s = rng.uniform(0.5, 2.0, size=4)
+            s[rank:] = 0.0
+            cases.append(with_singular_values(s, rng))
+        cases.append(np.zeros((4, 4)))
+        for A in cases:
+            adj, ref = adjugate(A), adjugate_by_minors(A)
+            scale = np.max(np.abs(A), axis=1)
+            # column i of the adjugate holds the cofactors of row i, which
+            # omit row i: bound them by the other rows' largest entries
+            bound = np.array([np.prod(np.delete(scale, i)) for i in range(4)])
+            assert np.all(np.abs(adj - ref) <= 1e-13 * bound)
+        assert np.max(np.abs(adjugate(cases[-2]))) < 1e-13
+        assert not adjugate(cases[-1]).any()
 
 
     def test_3x3_cofactors_bit_equal_numpy_scalar_formula(self):
@@ -307,7 +324,7 @@ class TestAdjugate:
             return np.linalg.det(W @ Vh) * ((Vh.conj().T * others) @ W.conj().T)
 
         rng = np.random.default_rng(41)
-        for n in range(4, 13):
+        for n in range(5, 13):
             for rank_drop in (0, 1, 2, n):
                 s = rng.uniform(0.5, 2.0, size=n) * 10.0 ** rng.integers(-3, 4)
                 s[n - rank_drop:] = 0.0
