@@ -25,7 +25,7 @@ from .contraction import (
     same_fiber,
     star_action,
 )
-from .flow import FlowConfig, FlowTrajectory, grad_re_det, integrate_flow, vfield
+from .flow import FlowConfig, FlowTrajectory, integrate_flow, vfield
 from .gelfand_tsetlin import (
     GTPattern,
     OrbitFunction,

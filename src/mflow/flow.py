@@ -32,7 +32,6 @@ __all__ = [
     "FlowConfig",
     "StepStats",
     "FlowTrajectory",
-    "grad_re_det",
     "vfield",
     "integrate_flow",
 ]
@@ -164,15 +163,6 @@ def _retime(t: float, p: int, q: int, d0: float) -> float:
     return d0 ** (1.0 / q) - max(d0 ** (1.0 / p) - t, 0.0) ** (p / q)
 
 
-def grad_re_det(A) -> np.ndarray:
-    """Gradient of Re(det) for the real inner product <X, Y> = Re tr(X Y*).
-
-    Equals the conjugate transpose of the adjugate; validated against finite
-    differences in the test suite.
-    """
-    return adjugate(A).conj().T
-
-
 def _field(B: np.ndarray, m: int):
     """Field value and Re det at B (Re det clamped at 0 for m > 1)."""
     adj = adjugate(B)
@@ -181,7 +171,7 @@ def _field(B: np.ndarray, m: int):
         raise SingularLocus("gradient of Re det vanished; vector field undefined")
     # B adj(B) = det(B) I: one entry of it is one row of the Laplace expansion
     re_det = float((B[0] @ adj[:, 0]).real)
-    V = adj.conj().T / -gn2
+    V = adj.conj().T / -gn2     # adj(B)* is the gradient of Re det
     if m > 1:
         V = _rescale(V, re_det, m)
     return V, re_det

@@ -54,10 +54,6 @@ class GTPattern:
     def n(self) -> int:
         return len(self.rows)
 
-    def row(self, level: int) -> tuple:
-        """Row at chain level j (1-based, length j)."""
-        return self.rows[self.n - level]
-
     def top(self) -> tuple:
         return self.rows[0]
 
@@ -234,40 +230,22 @@ def _weyl_dim(w: tuple) -> int:
 
 
 class OrbitFunction:
-    """Closed family of observables on Hermitian matrices for the bracket.
+    """A pattern entry x_{i,j} as an observable on Hermitian matrices for the
+    bracket: the i-th descending eigenvalue of the leading j x j submatrix,
+    whose gradient is the embedded spectral projector."""
 
-    Either a pattern entry x_{i,j} (i-th descending eigenvalue of the leading
-    j x j submatrix, gradient = embedded spectral projector) or a linear
-    pairing A -> Re tr(A H) with fixed Hermitian H (gradient = H).
-    """
-
-    def __init__(self, kind, i=None, j=None, H=None):
-        self.kind = kind
+    def __init__(self, i: int, j: int):
+        if not 1 <= i <= j:
+            raise InvariantViolation(f"need 1 <= i <= j, got ({i}, {j})")
         self.i = i
         self.j = j
-        self.H = H
 
     @classmethod
     def gt_entry(cls, i: int, j: int) -> "OrbitFunction":
-        if not 1 <= i <= j:
-            raise InvariantViolation(f"need 1 <= i <= j, got ({i}, {j})")
-        return cls("gt", i=i, j=j)
-
-    @classmethod
-    def linear(cls, H) -> "OrbitFunction":
-        return cls("linear", H=check_hermitian(H))
+        return cls(i, j)
 
     def __repr__(self):
-        if self.kind == "gt":
-            return f"x[{self.i},{self.j}]"
-        return "<linear>"
-
-    def value(self, A) -> float:
-        M = check_hermitian(A)
-        if self.kind == "linear":
-            return float(np.trace(M @ self.H).real)
-        vals = np.linalg.eigvalsh(M[: self.j, : self.j])[::-1]
-        return float(vals[self.i - 1])
+        return f"x[{self.i},{self.j}]"
 
     def gradient(self, A) -> np.ndarray:
         return self._gradient(check_hermitian(A))
@@ -275,10 +253,6 @@ class OrbitFunction:
     def _gradient(self, M: np.ndarray) -> np.ndarray:
         """gradient at a matrix that check_hermitian has accepted."""
         n = M.shape[0]
-        if self.kind == "linear":
-            if self.H.shape != M.shape:
-                raise InvariantViolation("pairing matrix dimension mismatch")
-            return self.H
         if self.j > n:
             raise InvariantViolation(f"level {self.j} exceeds dimension {n}")
         w, U = _eigh(M[: self.j, : self.j])

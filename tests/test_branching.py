@@ -17,7 +17,6 @@ from mflow.branching import (
     pieri_admissible,
     polygon_monoid_member,
     tree_polytope_count,
-    weighting_violations,
 )
 from mflow.errors import InvariantViolation, ParseError
 from mflow.gelfand_tsetlin import enumerate_gt, iter_gt_patterns, weyl_dim
@@ -55,6 +54,22 @@ def brute_force_tree_count(tree, r):
         if not weighting_violations(tree, w):
             count += 1
     return count
+
+
+def weighting_violations(tree, weights):
+    """The internal vertices of the tree whose incident triple of edge
+    weights fails parity or a triangle inequality; weights maps each edge
+    (an unordered pair) to a nonnegative int."""
+    w = {tuple(sorted(e)): val for e, val in weights.items()}
+    assert set(w) == set(tree.edges)
+    bad = []
+    for v, nbrs in tree.adjacency().items():
+        if len(nbrs) == 1:
+            continue
+        triple = [w[tuple(sorted((v, u)))] for u in nbrs]
+        if len(triple) != 3 or not cg_admissible(*triple):
+            bad.append(v)
+    return bad
 
 
 def recursive_fusions(tree, r):
@@ -244,6 +259,25 @@ class TestTrees:
         assert len(enumerate_trivalent_trees(5)) == 15
         assert len(enumerate_trivalent_trees(6)) == 105
 
+    def test_enumerate_reads_the_leaf_count_as_an_integer(self):
+        assert len(enumerate_trivalent_trees(6.0)) == len(enumerate_trivalent_trees(np.int64(6))) == 105
+        for bad in [3.5, float("nan"), float("inf"), "7", None]:
+            with pytest.raises(InvariantViolation, match="integer entries"):
+                enumerate_trivalent_trees(bad)
+        for few in [2, 0, -5]:
+            with pytest.raises(InvariantViolation, match="at least 3"):
+                enumerate_trivalent_trees(few)
+
+    def test_enumerate_refuses_more_than_max_tree_count(self, monkeypatch):
+        # (2n - 5)!! trees: 9 leaves give 135 135, 10 leaves 2 027 025
+        for n in [10, 12, 10**9]:
+            with pytest.raises(InvariantViolation, match="more than 1000000 trees"):
+                enumerate_trivalent_trees(n)
+        monkeypatch.setattr(branching, "MAX_TREE_COUNT", 105)
+        assert len(enumerate_trivalent_trees(6)) == 105
+        with pytest.raises(InvariantViolation, match="more than 105 trees"):
+            enumerate_trivalent_trees(7)
+
     def test_non_trivalent_rejected(self):
         star = TreeGraph(4, ((1, 0), (2, 0), (3, 0), (4, 0)),
                          {1: 1, 2: 2, 3: 3, 4: 4})
@@ -326,18 +360,23 @@ class TestTreePolytopeCount:
             assert calls == want
 
     def test_sweep_cache_counts_pinned(self):
-        # every tree on 4..6 leaves, every admissible weight with entries <= 2;
-        # the hits and misses are those of the tuple encoding, so the leaf
-        # encoding renames the cache keys without changing them
-        branching._fuse.cache_clear()
-        total = 0
-        for n in (4, 5, 6):
-            trees = enumerate_trivalent_trees(n)
-            for r in product(range(3), repeat=n):
-                if polygon_monoid_member(r):
-                    total += sum(tree_polytope_count(t, r) for t in trees)
-        info = branching._fuse.cache_info()
-        assert (info.hits, info.misses, total) == (156_153, 114, 105_828)
+        # per sweep: every tree on the given leaf counts and every admissible
+        # weight with entries <= top, from a cleared cache. The hits and
+        # misses are those of the tuple encoding, so the leaf encoding renames
+        # the cache keys without changing them, and reading the weights
+        # changes neither.
+        sweeps = [((4, 5, 6), 2, (156_153, 114, 105_828)),
+                  ((5,), 3, (21_735, 180, 17_580))]
+        for leaves, top, pinned in sweeps:
+            branching._fuse.cache_clear()
+            total = 0
+            for n in leaves:
+                trees = enumerate_trivalent_trees(n)
+                for r in product(range(top + 1), repeat=n):
+                    if polygon_monoid_member(r):
+                        total += sum(tree_polytope_count(t, r) for t in trees)
+            info = branching._fuse.cache_info()
+            assert (info.hits, info.misses, total) == pinned, leaves
 
     @PROPERTY
     @given(count_vectors(), count_vectors())
@@ -452,7 +491,7 @@ class TestFiberChain:
     def test_equivalence_with_patterns(self):
         for lam in [(2, 1, 0), (3, 1), (2, 2, 1)]:
             for p in iter_gt_patterns(lam):
-                chain = [p.row(j) for j in range(1, p.n + 1)]
+                chain = list(reversed(p.rows))
                 assert fiber_chain_member(chain)
 
     def test_bijection_with_patterns_n3(self):
@@ -483,15 +522,14 @@ _INTEGER_READERS = {
     "cg_multiplicity": lambda x: cg_multiplicity([x, 1]),
     "cg_admissible": lambda x: cg_admissible(x, 1, 1),
     "tree_polytope_count": lambda x: tree_polytope_count(_FOUR_LEAVES, [x, 1, 1, 1]),
-    "weighting_violations": lambda x: weighting_violations(
-        _FOUR_LEAVES, {e: x for e in _FOUR_LEAVES.edges}),
     "dominance_cone_member-lambda": lambda x: dominance_cone_member([x, 0], [1, 1]),
     "dominance_cone_member-mu": lambda x: dominance_cone_member([2, 0], [x, 1]),
     "polygon_monoid_member": lambda x: polygon_monoid_member([x, 1, 1]),
 }
 
 
-@pytest.mark.parametrize("x", [2.5, float("nan")], ids=["fraction", "nan"])
+@pytest.mark.parametrize("x", [2.5, float("nan"), float("inf"), "2", None, [1]],
+                         ids=["fraction", "nan", "inf", "string", "none", "list"])
 @pytest.mark.parametrize("call", _INTEGER_READERS.values(), ids=_INTEGER_READERS.keys())
 def test_non_integer_input_refused(call, x):
     with pytest.raises(InvariantViolation, match="integer entries"):
@@ -501,3 +539,61 @@ def test_non_integer_input_refused(call, x):
 @pytest.mark.parametrize("call", _INTEGER_READERS.values(), ids=_INTEGER_READERS.keys())
 def test_integral_floats_and_numpy_ints_accepted(call):
     assert call(2.0) == call(np.int64(2)) == call(2)
+
+
+# A weight vector of each reader with its first entry replaced by x: the
+# reading rule of branching._weights, shared by both.
+_WEIGHT_READERS = {
+    "cg_multiplicity": lambda x: cg_multiplicity((x, 2, 1, 1)),
+    "tree_polytope_count": lambda x: tree_polytope_count(_FOUR_LEAVES, (x, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("call", _WEIGHT_READERS.values(), ids=_WEIGHT_READERS.keys())
+def test_weights_equal_to_an_int_read_as_that_int(call):
+    assert call(2) == 2 and call(1) == 0
+    # 2 + 0j == 2 as well: a complex weight with zero imaginary part is
+    # read as its real part, where the unbounded integer readers refuse it
+    for two in [2.0, np.int64(2), np.float64(2.0), 2 + 0j]:
+        assert call(two) == 2
+    with pytest.raises(InvariantViolation, match="integer entries"):
+        cg_admissible(2 + 0j, 1, 1)
+    assert call(True) == call(1)
+    assert branching._weights([2.0, np.int64(2), True, 2 + 0j], "w") == (2, 2, 1, 2)
+    assert all(type(v) is int for v in branching._weights(np.array([3.0, 0.0]), "w"))
+
+
+def test_weight_vector_may_be_any_iterable():
+    for r in [(x for x in (2, 2, 1, 1)), np.array([2, 2, 1, 1]), np.array([2.0, 2.0, 1.0, 1.0])]:
+        assert tree_polytope_count(_FOUR_LEAVES, r) == 2
+    for r in [(x for x in (2, 2, 1, 1)), np.array([2, 2, 1, 1])]:
+        assert cg_multiplicity(r) == 2
+    # the fallback reads the materialized tuple, not the spent generator
+    with pytest.raises(InvariantViolation, match="integer entries"):
+        cg_multiplicity(x for x in (2, 2.5))
+
+
+@pytest.mark.parametrize("x", [-1, branching.MAX_WEIGHT + 1, 10**30], ids=["negative", "above-max", "huge"])
+@pytest.mark.parametrize("call", _WEIGHT_READERS.values(), ids=_WEIGHT_READERS.keys())
+def test_weights_out_of_range_refused(call, x):
+    with pytest.raises(InvariantViolation, match=r"must be in 0\.\.1000$"):
+        call(x)
+
+
+def test_int_weights_never_reach_the_integer_reader(monkeypatch):
+    calls = []
+    real = branching._integers
+
+    def counted(values, what):
+        calls.append(values)
+        return real(values, what)
+
+    monkeypatch.setattr(branching, "_integers", counted)
+    for t in enumerate_trivalent_trees(5):
+        assert tree_polytope_count(t, (1, 1, 1, 1, 2)) == 3
+    assert cg_multiplicity((1, 1, 1, 1, 2)) == 3
+    assert cg_multiplicity((branching.MAX_WEIGHT, branching.MAX_WEIGHT)) == 1
+    assert len(calls) == 1          # enumerate_trivalent_trees reads n
+    with pytest.raises(InvariantViolation):
+        cg_multiplicity((1, 1.5))
+    assert len(calls) == 2

@@ -11,8 +11,14 @@ import mflow
 from mflow import flow, verify
 from mflow.contraction import contract_closed_form
 from mflow.errors import FlowBudgetExceeded, InvariantViolation, SingularLocus
-from mflow.flow import FlowConfig, grad_re_det, integrate_flow, vfield
+from mflow.flow import FlowConfig, integrate_flow, vfield
 from mflow.matrices import adjugate, haar_special_unitary, traceless
+
+
+def grad_re_det(A):
+    """Gradient of Re(det) for the real inner product <X, Y> = Re tr(X Y*):
+    the conjugate transpose of the adjugate, the formula flow._field uses."""
+    return adjugate(A).conj().T
 
 
 def fd_grad_re_det(A, step=1e-6):
