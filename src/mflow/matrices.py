@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -161,12 +162,16 @@ def adjugate(A) -> np.ndarray:
     """Adjugate (transposed cofactor matrix): A @ adjugate(A) = det(A) I.
 
     Explicit cofactors for n <= 4; at n = 4 they are the Laplace expansion
-    by the 2 x 2 minors of rows (0, 1) and of rows (2, 3). For n >= 5 it
-    comes from one SVD A = W S V*: adj(A) = det(W V*) V diag(prod_{j != i}
-    s_j) W*, with the products formed from prefix and suffix products.
-    Neither formula divides, so the result stays accurate on and near the
-    singular fiber (G. W. Stewart, "On the adjugate matrix", Linear Algebra
-    Appl. 283, 1998).
+    by the 2 x 2 minors of rows (0, 1) and of rows (2, 3). For n >= 5 it is
+    det(A) inv(A), both from an LU factorization with partial pivoting: near
+    the singular fiber inv(A) is large, but the product stays accurate (G. W.
+    Stewart, "On the adjugate matrix", Linear Algebra Appl. 283, 1998).
+    Where the product fails, one SVD A = W S V* gives adj(A) = det(W V*) V
+    diag(prod_{j != i} s_j) W*, with the products formed from prefix and
+    suffix products; it divides nowhere, so it covers exact singularity and
+    det underflow. The SVD is used when det(A) is zero (an exact zero pivot)
+    or subnormal, when inv(A) raises LinAlgError, or when det(A) inv(A) is
+    not finite: det(A) overflows, or a subnormal pivot overflows the inverse.
     """
     M = as_complex_matrix(A)
     n = M.shape[0]
@@ -201,6 +206,15 @@ def adjugate(A) -> np.ndarray:
             [b1 * t02 - b0 * t12 - b2 * t01, a0 * t12 - a1 * t02 + a2 * t01,
              d1 * s02 - d0 * s12 - d2 * s01, c0 * s12 - c1 * s02 + c2 * s01],
         ], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.det(M)
+        if abs(d) >= sys.float_info.min:
+            try:
+                adj = d * np.linalg.inv(M)
+                if np.isfinite(adj).all():
+                    return adj
+            except np.linalg.LinAlgError:    # an exact zero pivot in inv's own LU
+                pass
     W, s, Vh = np.linalg.svd(M)
     # others[i] = (s_0 ... s_{i-1}) (s_{n-1} ... s_{i+1}), each product taken
     # left to right; Python floats are cheaper than numpy calls at this size

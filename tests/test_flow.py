@@ -397,6 +397,22 @@ class TestIntegrateFlow:
         assert stats.singular_rejects == 0
         assert 0 < stats.det_rejects < stats.err_rejects == stats.rejected
 
+    def test_each_field_evaluation_is_one_adjugate_call(self, monkeypatch):
+        # the benchmark's traced flow.rhs_calls counts the adjugate calls
+        # under integrate_flow, so the field must go through the public name
+        calls = []
+
+        def counted_adjugate(A):
+            calls.append(None)
+            return adjugate(A)
+
+        monkeypatch.setattr(flow, "adjugate", counted_adjugate)
+        rng = np.random.default_rng(103)
+        for B0 in (_random_sl(3, rng), _random_sl(5, rng), _random_sl(8, rng), np.eye(4)):
+            calls.clear()
+            stats = integrate_flow(B0).step_stats
+            assert len(calls) == stats.rhs_calls > 1, B0.shape
+
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
     def test_decay_law_near_a_double_smallest_singular_value(self, eps):
         # a simple smallest singular value (k = 1) a distance eps from the

@@ -39,6 +39,22 @@ def with_singular_values(s, rng):
     return (haar_unitary(n, rng) * np.asarray(s, dtype=float)) @ haar_unitary(n, rng)
 
 
+# n = 5 inputs on which det(A) inv(A) alone is wrong, so adjugate uses the SVD
+ADJUGATE_FALLBACK_INPUTS = {
+    # det underflows to 0 while adj[0, 0] = 1e-200
+    "det-underflow": np.diag([1e-200, 1e-200, 1.0, 1.0, 1.0]),
+    # det is subnormal, 1e-323 to one significant digit: det(A) inv(A) is 1% off
+    "det-subnormal": np.diag([1e-160, 1e-160, 1e-3, 1.0, 1.0]),
+    # det overflows to inf while adj(A) = 1e248 I
+    "det-overflow": np.diag([1e62] * 5),
+    # the subnormal pivot overflows inv: det(A) inv(A) holds NaN
+    "subnormal-pivot": np.diag([1e300, 1.0, 1.0, 1.0, 1e-309]),
+    # exact zero pivots: det is 0, and inv raises LinAlgError
+    "zero-pivot-rank-4": np.diag([1.0, 2.0, 3.0, 4.0, 0.0]),
+    "zero-pivot-rank-1": np.ones((5, 5)),
+}
+
+
 def random_hermitian(n, rng, scale=1.0):
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (Z + Z.conj().T)
@@ -259,6 +275,18 @@ class TestAdjugate:
                 assert np.linalg.matrix_rank(adj, tol=1e-8 * scale) == 1
             if rank_drop >= 2:
                 assert np.max(np.abs(adj)) < 1e-13 * scale
+        # the flow's stop fiber: the max(rank_drop, 1) smallest singular
+        # values at 1e-6 or 1e-10 in place of 0
+        for n in range(4, 13):
+            for sigma_min in (1e-6, 1e-10):
+                s = rng.uniform(0.5, 2.0, size=n)
+                s[n - max(rank_drop, 1):] = sigma_min
+                A = with_singular_values(s, rng)
+                adj, ref = adjugate(A), adjugate_by_minors(A)
+                scale = np.linalg.norm(A, 2) ** (n - 1)
+                assert np.max(np.abs(adj - ref)) < 1e-13 * scale, (n, rank_drop, sigma_min)
+                resid = A @ adj - np.linalg.det(A) * np.eye(n)
+                assert np.max(np.abs(resid)) < 1e-13 * scale, (n, rank_drop, sigma_min)
 
     def test_repeated_singular_values(self):
         assert np.max(np.abs(adjugate(np.eye(4)) - np.eye(4))) < 1e-15
@@ -315,6 +343,20 @@ class TestAdjugate:
             got, ref = adjugate(A), numpy_scalar_cofactors(A)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), k
 
+    def test_lu_bit_equal_det_times_inverse(self):
+        # every nonsingular n >= 5 input with a normal, finite det(A)
+        rng = np.random.default_rng(41)
+        for n in range(5, 13):
+            for sigma_min in (1.0, 1e-6, 1e-10):
+                s = rng.uniform(0.5, 2.0, size=n) * 10.0 ** rng.integers(-3, 4)
+                s[-1] *= sigma_min
+                for A in (with_singular_values(s, rng),
+                          rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                          rng.standard_normal((n, n)) + 0j):
+                    got = adjugate(A)
+                    ref = np.linalg.det(A) * np.linalg.inv(A)
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (n, sigma_min)
+
     def test_svd_products_bit_equal_cumprod_formula(self):
         def cumprod_adjugate(M):
             W, s, Vh = np.linalg.svd(M)
@@ -323,15 +365,27 @@ class TestAdjugate:
             others[:-1] *= np.cumprod(s[:0:-1])[::-1]
             return np.linalg.det(W @ Vh) * ((Vh.conj().T * others) @ W.conj().T)
 
+        # the inputs det(A) inv(A) fails on: exact zero pivots (a zero row),
+        # det underflow (to 0 or a subnormal), det overflow and a subnormal pivot
         rng = np.random.default_rng(41)
+        cases = [np.zeros((n, n), dtype=complex) for n in range(5, 13)]
+        cases += [np.asarray(A, dtype=complex) for A in ADJUGATE_FALLBACK_INPUTS.values()]
         for n in range(5, 13):
-            for rank_drop in (0, 1, 2, n):
-                s = rng.uniform(0.5, 2.0, size=n) * 10.0 ** rng.integers(-3, 4)
-                s[n - rank_drop:] = 0.0
-                for A in (with_singular_values(s, rng),
-                          rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
-                    got, ref = adjugate(A), cumprod_adjugate(A)
-                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (n, rank_drop)
+            Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            cases += [1e-300 ** (1 / (n - 1)) * Z, np.vstack([Z[:-1], np.zeros(n)])]
+        for A in cases:
+            got, ref = adjugate(A), cumprod_adjugate(A)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), A
+
+    @pytest.mark.parametrize("label", ADJUGATE_FALLBACK_INPUTS)
+    def test_fallback_inputs_match_minors(self, label):
+        A = ADJUGATE_FALLBACK_INPUTS[label]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adj = adjugate(A)
+        ref = adjugate_by_minors(A)
+        assert np.isfinite(adj).all()
+        assert np.max(np.abs(adj - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestAsComplexMatrix:
