@@ -83,7 +83,7 @@ def contract_closed_form(B) -> np.ndarray:
     """
     M = as_complex_matrix(B)
     W, s, Vh = np.linalg.svd(M)
-    shifted = np.sqrt(np.maximum(s * s - np.min(s) ** 2, 0.0))
+    shifted = np.sqrt(np.maximum(s * s - s[-1] ** 2, 0.0))     # s descends
     return (W * shifted) @ Vh
 
 

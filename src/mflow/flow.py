@@ -151,8 +151,8 @@ def _diagnostics(Bs: np.ndarray):
     their traceless right momenta from that of Bs[0]."""
     H = Bs.conj().transpose(0, 2, 1) @ Bs
     n = Bs.shape[-1]
-    mu = H - (np.trace(H, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
-    return np.linalg.det(Bs), np.max(np.abs(mu - mu[0]), axis=(1, 2))
+    mu = H - (H.trace(axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    return np.linalg.det(Bs), np.abs(mu - mu[0]).max(axis=(1, 2))
 
 
 def _retime(t: float, p: int, q: int, d0: float) -> float:
@@ -163,23 +163,24 @@ def _retime(t: float, p: int, q: int, d0: float) -> float:
     return d0 ** (1.0 / q) - max(d0 ** (1.0 / p) - t, 0.0) ** (p / q)
 
 
-def _field(B: np.ndarray, m: int):
-    """Field value and Re det at B (Re det clamped at 0 for m > 1)."""
+def _field(B: np.ndarray, V: np.ndarray, with_det: bool) -> float | None:
+    """Write the m = 1 field at B into V (an n x n array); return Re det at
+    B when with_det, else None."""
     adj = adjugate(B)
     gn2 = float(np.vdot(adj, adj).real)
     if math.sqrt(gn2) <= GRAD_FLOOR:
         raise SingularLocus("gradient of Re det vanished; vector field undefined")
-    # B adj(B) = det(B) I: one entry of it is one row of the Laplace expansion
-    re_det = float((B[0] @ adj[:, 0]).real)
-    V = adj.conj().T / -gn2     # adj(B)* is the gradient of Re det
-    if m > 1:
-        V = _rescale(V, re_det, m)
-    return V, re_det
+    np.conjugate(adj.T, out=V)      # adj(B)* is the gradient of Re det
+    V /= -gn2
+    if with_det:
+        # B adj(B) = det(B) I: one entry of it is one row of the Laplace expansion
+        return float((B[0] @ adj[:, 0]).real)
+    return None
 
 
-def _rescale(V: np.ndarray, re_det: float, m: int) -> np.ndarray:
-    """The m-field from the m = 1 field V at a point with the given Re det."""
-    return V * (m * max(re_det, 0.0) ** (1.0 - 1.0 / m))
+def _gain(re_det: float, m: int) -> float:
+    """The m-field over the m = 1 field at a point with the given Re det."""
+    return m * max(re_det, 0.0) ** (1.0 - 1.0 / m)
 
 
 def vfield(A, m: int = 1) -> np.ndarray:
@@ -189,26 +190,32 @@ def vfield(A, m: int = 1) -> np.ndarray:
     read as Config reads it, before the field is evaluated.
     """
     m = Config(m=m).m
-    V, re_det = _field(as_complex_matrix(A), m)
-    if m > 1 and re_det < 0.0:
-        raise InvariantViolation("vfield with m > 1 requires Re det(A) >= 0")
+    A = as_complex_matrix(A)
+    V = np.empty(A.shape, dtype=complex)
+    re_det = _field(A, V, m > 1)
+    if m > 1:
+        if re_det < 0.0:
+            raise InvariantViolation("vfield with m > 1 requires Re det(A) >= 0")
+        V *= _gain(re_det, m)
     return V
 
 
 # Dormand-Prince 4(5) tableau (FSAL pair); row i of _DP_A weighs stages 0..i-1.
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# The coefficients are stored as complex, an exact cast of the float64 values,
+# so the stage, error and dense sums with the complex stage slopes cast nothing.
+_DP_A = [np.array(row, dtype=complex) for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = (_DP_B5 - _DP_B4).astype(complex)
 # Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6): row j
 # weighs the 7 stages for theta^(j+1). It equals _DP_B5 at theta = 1 and its
 # derivative there is the FSAL stage, so the dense output is C^1 across steps.
@@ -223,7 +230,7 @@ _DP_P = np.array([
     [-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
      -10690763975 / 1880347072, 701980252875 / 199316789632,
      -1453857185 / 822651844, 69997945 / 29380423],
-])
+], dtype=complex)
 _POWERS = np.arange(1, 5)
 
 _MIN_STEP = 1e-14
@@ -282,22 +289,30 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     B0 = check_positive_det(B0)
     shape = B0.shape
     k = _time_exponent(B0)
-    rhs_calls = 0
-
-    def field(B):
-        """The m = 1 field, the k-field and Re det at B."""
-        nonlocal rhs_calls
-        rhs_calls += 1
-        V, d = _field(B, 1)
-        return V, (V if k == 1 else _rescale(V, d, k)), d
 
     def root(d):
         return d ** (1.0 / k)
 
+    # K holds the stage slopes, one flat row each, and _field writes each
+    # slope into rows[i], the n x n view of row i. The points of stages 1-5
+    # are formed in one reused buffer; the FSAL point B5 is a fresh array,
+    # since it becomes a sample. v5 is the m = 1 field at B5, which the
+    # determinant error term reads.
+    K = np.empty((7, B0.size), dtype=complex)
+    rows = [row.reshape(shape) for row in K]
+    stage = np.empty(B0.size, dtype=complex)
+    S = stage.reshape(shape)
+    scale = np.empty(B0.size)
+    v5 = rows[6] if k == 1 else np.empty(shape, dtype=complex)
+
     stop = root(DET_STOP_TOL)
     t = 0.0
     B = B0.copy()
-    _, f, d = field(B)
+    b, abs_b = B.ravel(), np.abs(B).ravel()
+    d = _field(B, rows[0], True)
+    if k > 1:
+        rows[0] *= _gain(d, k)
+    rhs_calls = 1
     d0 = d
     det_scale = ABS_TOL + REL_TOL * d0
     k_times, points, dense = [t], [B], []
@@ -307,8 +322,6 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
     # a one-step landing from a start far from the stop fiber is always
     # rejected; try the controller's largest cut of it instead
     h = 0.2 * tau
-    K = np.empty((7, B.size), dtype=complex)   # stage slopes, one row each
-    K[0] = f.ravel()
 
     while tau > 0.0:
         if len(dense) + err_rejects + singular_rejects >= MAX_STEPS:
@@ -320,19 +333,35 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
 
         try:
             for i in range(1, 6):
-                _, fi, _ = field(B + h * (_DP_A[i] @ K[:i]).reshape(shape))
-                K[i] = fi.ravel()
+                # the stage point B + h (_DP_A[i] @ K[:i])
+                np.matmul(_DP_A[i], K[:i], out=stage)
+                stage *= h
+                stage += b
+                rhs_calls += 1
+                if k == 1:
+                    _field(S, rows[i], False)
+                else:
+                    rows[i] *= _gain(_field(S, rows[i], True), k)
             # FSAL stage evaluates at the 5th-order solution itself
-            B5 = B + h * (_DP_A[6] @ K[:6]).reshape(shape)
-            v5, f5, d5 = field(B5)
-            K[6] = f5.ravel()
+            b5 = _DP_A[6] @ K[:6]
+            b5 *= h
+            b5 += b
+            B5 = b5.reshape(shape)
+            rhs_calls += 1
+            d5 = _field(B5, v5, True)
+            if k > 1:
+                np.multiply(v5, _gain(d5, k), out=rows[6])
         except SingularLocus:
             singular_rejects += 1
             h *= 0.25
             continue
 
         e = _DP_E @ K     # the error estimate is h e
-        q = e / (ABS_TOL + REL_TOL * np.maximum(np.abs(B), np.abs(B5)).ravel())
+        abs_b5 = np.abs(b5)
+        np.maximum(abs_b, abs_b5, out=scale)
+        scale *= REL_TOL
+        scale += ABS_TOL
+        q = e / scale
         err_entries = h * math.sqrt(np.vdot(q, q).real / q.size)
         # det's first-order change along h e is tr(adj(B5) h e) =
         # -h <v5, e> / |v5|^2 for the m = 1 field v5. Its scale is fixed by
@@ -343,9 +372,11 @@ def integrate_flow(B0, cfg: Config | None = None) -> FlowTrajectory:
                   if err_norm > 0 else 5.0)
 
         if err_norm <= 1.0:
-            dense.append(h * (_DP_P @ K))
+            D = _DP_P @ K
+            D *= h
+            dense.append(D)
             t += h
-            B, d = B5, d5
+            B, b, abs_b, d = B5, b5, abs_b5, d5
             K[0] = K[6]
             k_times.append(t)
             points.append(B)

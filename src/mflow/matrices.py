@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -42,12 +43,19 @@ CLUSTER_TOL = 1e-8      # relative: scaled by (1 + |A|)
 PSD_TOL = 1e-9          # relative: scaled by (1 + |H|)
 
 
+def _all_finite(M: np.ndarray) -> bool:
+    """Whether every entry of M is finite. The sum of |M_ij|^2 is finite only
+    when every entry is, so it settles most calls; the entry-wise test runs
+    only when the sum is not finite, which overflow alone can also cause."""
+    return math.isfinite(np.vdot(M, M).real) or bool(np.isfinite(M).all())
+
+
 def as_complex_matrix(A) -> np.ndarray:
     """Coerce to a square complex ndarray with finite entries."""
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvariantViolation(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    if not _all_finite(M):
         raise InvariantViolation("matrix has non-finite entries")
     return M
 
@@ -73,11 +81,14 @@ def check_unitary(U) -> np.ndarray:
 
 
 def check_positive_det(A) -> np.ndarray:
-    """Validate a real positive det(A) (imaginary part within
+    """Validate a finite, real positive det(A) (imaginary part within
     1e-9 (1 + |det|)), where the determinant flow starts, and return A as
     ndarray."""
     M = as_complex_matrix(A)
-    det = complex(np.linalg.det(M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(M))
+    if not cmath.isfinite(det):
+        raise InvariantViolation(f"flow start needs a finite determinant, got {det}")
     if abs(det.imag) > 1e-9 * (1.0 + abs(det)) or det.real <= 0.0:
         raise InvariantViolation(f"flow start needs real positive determinant, got {det:.3e}")
     return M
@@ -184,10 +195,10 @@ def adjugate(A) -> np.ndarray:
         # at half the cost
         (a, b, c), (d, e, f), (g, h, i) = M.tolist()
         return np.array([
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ], dtype=complex)
+            e * i - f * h, c * h - b * i, b * f - c * e,
+            f * g - d * i, a * i - c * g, c * d - a * f,
+            d * h - e * g, b * g - a * h, a * e - b * d,
+        ], dtype=complex).reshape(3, 3)
     if n == 4:
         # sIJ / tIJ: the minor of columns I, J in rows (0, 1) / rows (2, 3);
         # each cofactor is three products of an entry with a minor
@@ -197,21 +208,21 @@ def adjugate(A) -> np.ndarray:
         t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
         t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
         return np.array([
-            [b1 * t23 - b2 * t13 + b3 * t12, a2 * t13 - a1 * t23 - a3 * t12,
-             d1 * s23 - d2 * s13 + d3 * s12, c2 * s13 - c1 * s23 - c3 * s12],
-            [b2 * t03 - b0 * t23 - b3 * t02, a0 * t23 - a2 * t03 + a3 * t02,
-             d2 * s03 - d0 * s23 - d3 * s02, c0 * s23 - c2 * s03 + c3 * s02],
-            [b0 * t13 - b1 * t03 + b3 * t01, a1 * t03 - a0 * t13 - a3 * t01,
-             d0 * s13 - d1 * s03 + d3 * s01, c1 * s03 - c0 * s13 - c3 * s01],
-            [b1 * t02 - b0 * t12 - b2 * t01, a0 * t12 - a1 * t02 + a2 * t01,
-             d1 * s02 - d0 * s12 - d2 * s01, c0 * s12 - c1 * s02 + c2 * s01],
-        ], dtype=complex)
+            b1 * t23 - b2 * t13 + b3 * t12, a2 * t13 - a1 * t23 - a3 * t12,
+            d1 * s23 - d2 * s13 + d3 * s12, c2 * s13 - c1 * s23 - c3 * s12,
+            b2 * t03 - b0 * t23 - b3 * t02, a0 * t23 - a2 * t03 + a3 * t02,
+            d2 * s03 - d0 * s23 - d3 * s02, c0 * s23 - c2 * s03 + c3 * s02,
+            b0 * t13 - b1 * t03 + b3 * t01, a1 * t03 - a0 * t13 - a3 * t01,
+            d0 * s13 - d1 * s03 + d3 * s01, c1 * s03 - c0 * s13 - c3 * s01,
+            b1 * t02 - b0 * t12 - b2 * t01, a0 * t12 - a1 * t02 + a2 * t01,
+            d1 * s02 - d0 * s12 - d2 * s01, c0 * s12 - c1 * s02 + c2 * s01,
+        ], dtype=complex).reshape(4, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.linalg.det(M)
         if abs(d) >= sys.float_info.min:
             try:
                 adj = d * np.linalg.inv(M)
-                if np.isfinite(adj).all():
+                if _all_finite(adj):
                     return adj
             except np.linalg.LinAlgError:    # an exact zero pivot in inv's own LU
                 pass

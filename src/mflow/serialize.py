@@ -7,8 +7,6 @@ through JSON. Loaders raise ParseError with field context on malformed input.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -218,8 +216,7 @@ def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None)
     ts = [0.0, *ts, _retime(d0, 1, traj.config.m, d0)]
     rows = np.column_stack([ts, Bs.view(float).reshape(len(Bs), -1),
                             dets.real, dets.imag, drift])
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows[1:].tolist())
-    atomic_write_text(path, buf.getvalue())
+    # what csv.writer's excel dialect writes for these fields: no field needs
+    # quoting, a float is its repr, and every row ends in \r\n
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows[1:].tolist()), ""]
+    atomic_write_text(path, "\r\n".join(lines))

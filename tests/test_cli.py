@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +185,24 @@ class TestSerialize:
         # the terminal's drift is still measured from the start
         assert np.array_equal(values[0], self._csv_values(full)[1][-1])
         assert values[0, -1] > 0.0
+
+    @pytest.mark.parametrize("samples", [None, 7, 0])
+    def test_trajectory_csv_is_the_csv_writer_rendering(self, tmp_path, samples):
+        src, out = str(tmp_path / "B.json"), tmp_path / "t.csv"
+        serialize.save_matrix(src, self._start())
+        argv = ["flow", "--in", src, "--out", str(out)]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        assert main(argv) == 0
+        text = out.read_bytes().decode()
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([float(x) for x in row] for row in rows)
+        assert len(rows) == (len(integrate_flow(self._start()).points)
+                             if samples is None else samples) + 1
+        assert text == buf.getvalue()
 
 
 # JSON-shaped values: what json.load can return, plus the float and integer
@@ -394,6 +414,17 @@ class TestCli:
         path.write_text(json.dumps({"n": 1, "entries": [[[float("nan"), 0]]]}))
         assert main(["flow", "--in", str(path)]) == 1
         assert "InvariantViolation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e200, 1e62])
+    def test_overflowing_determinant_exit_1(self, tmp_path, capsys, scale):
+        src = str(tmp_path / "B.json")
+        serialize.save_matrix(src, np.diag(np.full(5, scale)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["flow", "--in", src]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvariantViolation")
+        assert captured.out == ""
 
     def test_domain_error_exit_1_names_error(self, tmp_path, capsys):
         src = str(tmp_path / "B.json")

@@ -152,7 +152,7 @@ class TestVfield:
             points.append(traj.samples[-1][1])
             points.append(traj.at(0.999 * traj.times()[-1]))
         for B in points:
-            _, re_det = flow._field(B, 1)
+            re_det = flow._field(B, np.empty(B.shape, dtype=complex), True)
             sigma1 = np.linalg.norm(B, 2)
             assert abs(re_det - np.linalg.det(B).real) <= 1e-12 * sigma1 ** B.shape[0]
 
@@ -424,14 +424,44 @@ class TestIntegrateFlow:
         assert law.bound == 1e-7
         assert law.passed, law.numbers
 
+    def test_layout_of_the_start_does_not_change_the_result(self):
+        # the integrator's reused buffers: the same start in any memory
+        # layout gives the same bits, and no returned array shares memory
+        # with another, with the caller's array or with an earlier integration
+        rng = np.random.default_rng(107)
+        for B0 in (_random_sl(3, rng), _random_sl(5, rng),
+                   np.diag([2.0, 2.0, 0.5, 0.5]).astype(complex)):
+            n = B0.shape[0]
+            ref = integrate_flow(B0)
+            readonly = B0.copy()
+            readonly.flags.writeable = False
+            wide = np.zeros((n, 2 * n), dtype=complex)
+            wide[:, ::2] = B0
+            for start in (np.ascontiguousarray(B0), np.asfortranarray(B0), readonly,
+                          wide[:, ::2]):
+                before = start.copy()
+                traj = integrate_flow(start)
+                assert np.array_equal(start, before) and start.tobytes() == before.tobytes()
+                assert traj.step_stats == ref.step_stats and traj.k_times == ref.k_times
+                for got, want in ((traj.points, ref.points), (traj.dense, ref.dense),
+                                  ((traj.terminal,), (ref.terminal,))):
+                    assert len(got) == len(want)
+                    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                               for a, b in zip(got, want))
+                arrays = [*traj.points, *traj.dense, traj.terminal]
+                assert not any(np.shares_memory(a, start) for a in arrays)
+                assert not any(np.shares_memory(a, b) for a in arrays for b in ref.points)
+                for i, a in enumerate(arrays):
+                    assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+
     def test_singular_stage_is_counted_and_retried(self, monkeypatch):
         calls = []
 
-        def field_failing_once(B, m):
+        def field_failing_once(*args):
             calls.append(None)
             if len(calls) == 3:     # the second stage of the first attempt
                 raise SingularLocus("stage on the singular locus")
-            return real_field(B, m)
+            return real_field(*args)
 
         B = np.diag([2.0, 0.5])
         ref = integrate_flow(B).step_stats

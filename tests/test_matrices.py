@@ -1,13 +1,16 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from mflow import matrices
+from mflow.contraction import flow_closed_form
 from mflow.errors import InvariantViolation, NotPositiveSemidefinite
 from mflow.matrices import (
     adjugate,
     as_complex_matrix,
+    check_positive_det,
     eig_hermitian,
     eigenvalue_blocks,
     haar_special_unitary,
@@ -377,6 +380,20 @@ class TestAdjugate:
             got, ref = adjugate(A), cumprod_adjugate(A)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), A
 
+    def test_lu_product_whose_squared_sum_overflows(self):
+        # det(A) inv(A) is finite, but the sum of its squared entries is not:
+        # the product is kept, not replaced by the SVD fallback
+        rng = np.random.default_rng(43)
+        Z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        A = 1e60 * (np.eye(5) + 0.1 * Z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = adjugate(A)
+            ref = np.linalg.det(A) * np.linalg.inv(A)
+            assert not math.isfinite(np.vdot(ref, ref).real)
+        assert np.isfinite(ref).all()
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("label", ADJUGATE_FALLBACK_INPUTS)
     def test_fallback_inputs_match_minors(self, label):
         A = ADJUGATE_FALLBACK_INPUTS[label]
@@ -407,6 +424,50 @@ class TestAsComplexMatrix:
     def test_rejects_non_square_and_non_finite(self, A):
         with pytest.raises(InvariantViolation):
             as_complex_matrix(A)
+
+    @pytest.mark.parametrize("fill", [1.0, 1e200])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
+                                     complex(np.nan, 0.0)], ids=repr)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rejects_a_non_finite_entry_in_every_position(self, n, bad, fill):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(n):
+                for j in range(n):
+                    A = np.full((n, n), fill, dtype=complex)
+                    A[i, j] = bad
+                    with pytest.raises(InvariantViolation, match="non-finite"):
+                        as_complex_matrix(A)
+
+    @pytest.mark.parametrize("big", [1e200, 1e300 + 1e300j, -1.7e308], ids=repr)
+    def test_accepts_finite_entries_whose_squared_sum_overflows(self, big):
+        A = np.full((3, 3), big, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not math.isfinite(np.vdot(A, A).real)
+            M = as_complex_matrix(A)
+        assert M is A and M.tobytes() == np.full((3, 3), big, dtype=complex).tobytes()
+
+    def test_accepts_an_empty_matrix(self):
+        M = as_complex_matrix(np.empty((0, 0)))
+        assert M.shape == (0, 0) and M.dtype == complex
+
+
+class TestCheckPositiveDet:
+    @pytest.mark.parametrize("scale", [1e200, 1e62])
+    def test_refuses_a_determinant_that_overflows(self, scale):
+        # finite entries whose determinant is not a finite number
+        A = np.diag(np.full(5, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="finite determinant"):
+                check_positive_det(A)
+            with pytest.raises(InvariantViolation, match="finite determinant"):
+                flow_closed_form(A, 0.0)
+
+    def test_accepts_a_large_finite_determinant(self):
+        A = np.diag(np.full(5, 1e61))   # det 1e305
+        assert check_positive_det(A).tobytes() == A.astype(complex).tobytes()
 
 
 class TestMomentum:
