@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 
 import numpy as np
 
+from .branching import _integers
 from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import (
     _eigh,
@@ -40,7 +42,11 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class CotangentPoint:
-    """Point (k, v) of T*U(n): k unitary, v Hermitian (the right momentum)."""
+    """Point (k, v) of T*U(n): k unitary, v Hermitian (the right momentum).
+
+    k and v are read-only copies, and the sorted eigendecomposition of v
+    (_spectrum) is solved once, on first use, for the point's life.
+    """
 
     k: np.ndarray
     v: np.ndarray
@@ -51,6 +57,15 @@ class CotangentPoint:
         object.__setattr__(self, "v", _frozen(check_hermitian(self.v)))
         if self.k.shape != self.v.shape:
             raise InvariantViolation("k and v must have equal dimensions")
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        """_eigh(v) as read-only arrays (w, U), shared by same_fiber and
+        contract_point."""
+        w, U = _eigh(self.v)
+        w.flags.writeable = False
+        U.flags.writeable = False
+        return w, U
 
 
 def _frozen(M: np.ndarray) -> np.ndarray:
@@ -131,9 +146,9 @@ def flow_closed_form(B, s: float) -> np.ndarray:
 
 def contract_point(x: CotangentPoint) -> ContractedPoint:
     """Normal form (w, g) with h v h* = diag(w) and g = k h*."""
-    w, U = _eigh(x.v)
+    w, U = x._spectrum
     # h = U* diagonalizes v, so g = k h* = k U.
-    return ContractedPoint(w, x.k @ U)
+    return ContractedPoint(w.copy(), x.k @ U)
 
 
 def _block_special_unitary_defect(C: np.ndarray, blocks: list) -> float:
@@ -164,7 +179,7 @@ def same_fiber(x: CotangentPoint, y: CotangentPoint, tol: float) -> bool:
         return False
     if np.max(np.abs(x.v - y.v)) > tol:
         return False
-    w, U = _eigh(x.v)
+    w, U = x._spectrum
     C = U.conj().T @ (x.k.conj().T @ y.k) @ U
     return _block_special_unitary_defect(C, eigenvalue_blocks(w)) <= tol
 
@@ -189,13 +204,15 @@ def star_action(A, level: int, phases) -> np.ndarray:
     """Torus action at one level of the nested-subgroup chain.
 
     Conjugates A by C = (h* diag(e^{i phases}) h) + I, where h diagonalizes
-    the leading level x level submatrix of A. Requires that submatrix to have
-    simple spectrum (principal stratum); preserves the spectrum of A and the
-    entire tower of leading-submatrix spectra.
+    the leading level x level submatrix of A; the block h* diag(e^{i phases}) h
+    is formed as (U * e^{i phases}) U* with U = h*. Requires that submatrix to
+    have simple spectrum (principal stratum); preserves the spectrum of A and
+    the entire tower of leading-submatrix spectra. level is an integer
+    (integral floats and numpy ints pass; 1.5 is refused).
     """
     M = check_hermitian(A)
     n = M.shape[0]
-    j = int(level)
+    (j,) = _integers((level,), "level")
     if not 1 <= j <= n - 1:
         raise InvariantViolation(f"level must be in 1..{n - 1}, got {j}")
     theta = np.asarray(phases, dtype=float).ravel()
@@ -209,6 +226,6 @@ def star_action(A, level: int, phases) -> np.ndarray:
         raise PrincipalStratumViolation(
             f"leading {j}x{j} submatrix has a degenerate eigenvalue")
     C = np.eye(n, dtype=complex)
-    C[:j, :j] = U @ np.diag(np.exp(1j * theta)) @ U.conj().T
+    C[:j, :j] = (U * np.exp(1j * theta)) @ U.conj().T
     out = C @ M @ C.conj().T
     return 0.5 * (out + out.conj().T)

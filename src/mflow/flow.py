@@ -165,9 +165,12 @@ def _retime(t: float, p: int, q: int, d0: float) -> float:
 
 def _field(B: np.ndarray, V: np.ndarray, with_det: bool) -> float | None:
     """Write the m = 1 field at B into V (an n x n array); return Re det at
-    B when with_det, else None."""
+    B when with_det, else None. A gradient whose squared norm overflows
+    float64 is refused with InvariantViolation (the field would read 0)."""
     adj = adjugate(B)
     gn2 = float(np.vdot(adj, adj).real)
+    if not math.isfinite(gn2):
+        raise InvariantViolation("|grad Re det|^2 overflows float64; vector field undefined")
     if math.sqrt(gn2) <= GRAD_FLOOR:
         raise SingularLocus("gradient of Re det vanished; vector field undefined")
     np.conjugate(adj.T, out=V)      # adj(B)* is the gradient of Re det
@@ -187,7 +190,8 @@ def vfield(A, m: int = 1) -> np.ndarray:
     """Normalized downhill field: -grad/|grad|^2 times m (Re det)^(1 - 1/m).
 
     m = 1 is the unit-rate normalization with <V, grad Re det> = -1. m is
-    read as Config reads it, before the field is evaluated.
+    read as Config reads it, before the field is evaluated. A gradient whose
+    squared norm overflows float64 raises InvariantViolation.
     """
     m = Config(m=m).m
     A = as_complex_matrix(A)

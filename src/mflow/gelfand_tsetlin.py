@@ -18,7 +18,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .branching import MAX_WEIGHT, _check_weakly_decreasing
+from .branching import MAX_WEIGHT, _check_weakly_decreasing, _integers
 from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import CLUSTER_TOL, _eigh, check_hermitian, haar_unitary
 
@@ -232,13 +232,18 @@ def _weyl_dim(w: tuple) -> int:
 class OrbitFunction:
     """A pattern entry x_{i,j} as an observable on Hermitian matrices for the
     bracket: the i-th descending eigenvalue of the leading j x j submatrix,
-    whose gradient is the embedded spectral projector."""
+    whose gradient is the embedded spectral projector.
+
+    i and j are integers (integral floats and numpy ints are stored as ints).
+    """
 
     def __init__(self, i: int, j: int):
+        i, j = _integers((i, j), "GT entry index")
         if not 1 <= i <= j:
             raise InvariantViolation(f"need 1 <= i <= j, got ({i}, {j})")
         self.i = i
         self.j = j
+        self._last = (None, None)       # (key, gradient) of the last _gradient call
 
     @classmethod
     def gt_entry(cls, i: int, j: int) -> "OrbitFunction":
@@ -248,14 +253,25 @@ class OrbitFunction:
         return f"x[{self.i},{self.j}]"
 
     def gradient(self, A) -> np.ndarray:
-        return self._gradient(check_hermitian(A))
+        return self._gradient(check_hermitian(A)).copy()
 
     def _gradient(self, M: np.ndarray) -> np.ndarray:
-        """gradient at a matrix that check_hermitian has accepted."""
+        """Gradient at a matrix that check_hermitian has accepted, read-only.
+
+        It depends only on n and the leading j x j block, so the observable
+        keeps its last gradient in one slot keyed by n and the bytes of that
+        block: the brackets of one point solve each observable's eigenproblem
+        once, and a matrix changed in place is a new key.
+        """
         n = M.shape[0]
         if self.j > n:
             raise InvariantViolation(f"level {self.j} exceeds dimension {n}")
-        w, U = _eigh(M[: self.j, : self.j])
+        block = M[: self.j, : self.j]
+        key = (n, block.tobytes())
+        last_key, last = self._last     # one read: the slot is replaced whole
+        if last_key == key:
+            return last
+        w, U = _eigh(block)
         gap = CLUSTER_TOL * (1.0 + max(abs(w[0]), abs(w[-1])))     # w is sorted
         i = self.i - 1
         if (i > 0 and w[i - 1] - w[i] <= gap) or (i + 1 < w.size and w[i] - w[i + 1] <= gap):
@@ -264,23 +280,38 @@ class OrbitFunction:
         u = U[:, i]
         G = np.zeros((n, n), dtype=complex)
         G[: self.j, : self.j] = u[:, None] * u.conj()
+        G.flags.writeable = False
+        self._last = (key, G)
         return G
 
 
 def poisson_bracket(f: OrbitFunction, g: OrbitFunction, A) -> float:
-    """Kostant-Kirillov bracket <A, i[grad f, grad g]> at the point A."""
+    """Kostant-Kirillov bracket <A, i[grad f, grad g]> at the point A.
+
+    With Gf, Gg the Hermitian gradients, Re tr(A i[Gf, Gg]) equals
+    Im<Gf, A Gg> - Im<Gg, A Gf> (<X, Y> = tr(X* Y)): two products and two
+    inner products, and exactly antisymmetric in f and g.
+    """
     M = check_hermitian(A)
     Gf = f._gradient(M)
     Gg = g._gradient(M)
-    comm = Gf @ Gg - Gg @ Gf
-    return float(np.trace(M @ (1j * comm)).real)
+    return float(np.vdot(Gf, M @ Gg).imag - np.vdot(Gg, M @ Gf).imag)
 
 
 def random_orbit_point(spectrum, seed: int) -> np.ndarray:
-    """Haar-conjugated point U diag(spectrum) U* of the coadjoint orbit."""
+    """Haar-conjugated point U diag(spectrum) U* of the coadjoint orbit.
+
+    The Hermitian part is taken as 0.5 A + 0.5 A*, as _eigh takes it, so
+    entries near the float64 limit do not overflow in the sum; a point whose
+    entries still overflow is refused with InvariantViolation.
+    """
     lam = np.asarray(spectrum, dtype=float).ravel()
     if not np.isfinite(lam).all():
         raise InvariantViolation("spectrum must be finite")
     U = haar_unitary(lam.size, np.random.default_rng(seed))
-    A = (U * lam) @ U.conj().T
-    return 0.5 * (A + A.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = 0.5 * ((U * lam) @ U.conj().T)
+        A = H + H.conj().T
+    if not np.isfinite(A).all():
+        raise InvariantViolation("orbit point overflows float64")
+    return A

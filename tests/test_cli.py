@@ -277,6 +277,31 @@ def test_messages_show_numpy_scalars_as_plain_numbers(call, monkeypatch):
     assert "np." not in str(err.value)
 
 
+# GT indices and star-action levels are read as branching reads integers: a
+# fraction is refused, not truncated or left to fail later with IndexError.
+@pytest.mark.parametrize("call", [
+    lambda: mflow.OrbitFunction(1.5, 2),
+    lambda: mflow.OrbitFunction.gt_entry(1, _F64(2.5)),
+    lambda: mflow.OrbitFunction.gt_entry(float("nan"), 1),
+    lambda: mflow.star_action(np.diag([3.0, 2.0, 1.0]), 1.5, [0.0]),
+    lambda: mflow.star_action(np.diag([3.0, 2.0, 1.0]), "1", [0.0]),
+])
+def test_gt_indices_must_be_integers(call):
+    with pytest.raises(InvariantViolation, match="expected integer"):
+        call()
+
+
+def test_gt_indices_are_stored_as_ints():
+    for i, j in ((_I64(2), 2.0), (2.0, _I64(2))):
+        f = mflow.OrbitFunction(i, j)
+        assert (f.i, f.j) == (2, 2)
+        assert type(f.i) is int and type(f.j) is int
+    A = mflow.random_orbit_point([3.0, 1.0, -1.0], seed=4)
+    out = mflow.star_action(A, 2, [0.3, -0.4])
+    for level in (2.0, _I64(2)):
+        assert mflow.star_action(A, level, [0.3, -0.4]).tobytes() == out.tobytes()
+
+
 # The check names `mflow verify` printed before it printed measurements; a
 # script that matches on them must keep finding each one.
 _VERIFY_NAMES = [
@@ -419,6 +444,18 @@ class TestCli:
     def test_overflowing_determinant_exit_1(self, tmp_path, capsys, scale):
         src = str(tmp_path / "B.json")
         serialize.save_matrix(src, np.diag(np.full(5, scale)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["flow", "--in", src]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvariantViolation")
+        assert captured.out == ""
+
+    def test_overflowing_gradient_exit_1(self, tmp_path, capsys):
+        # det = 1e200 is finite, but each adjugate entry is 1e160, so
+        # |adj|^2 overflows: the field must be refused, not read as 0
+        src = str(tmp_path / "B.json")
+        serialize.save_matrix(src, np.diag(np.full(5, 1e40)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["flow", "--in", src]) == 1

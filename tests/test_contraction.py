@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mflow import contraction
 from mflow.contraction import (
     ContractedPoint,
     CotangentPoint,
@@ -14,7 +15,13 @@ from mflow.contraction import (
 from mflow.errors import InvariantViolation, PrincipalStratumViolation
 from mflow.flow import integrate_flow, vfield
 from mflow.gelfand_tsetlin import gt_pattern
-from mflow.matrices import eigenvalue_blocks, haar_special_unitary, haar_unitary, traceless
+from mflow.matrices import (
+    _eigh,
+    eigenvalue_blocks,
+    haar_special_unitary,
+    haar_unitary,
+    traceless,
+)
 
 
 def random_sl(n, rng):
@@ -142,6 +149,50 @@ class TestContractPoint:
         x = CotangentPoint(k, v)
         y = CotangentPoint(k @ u, v)
         assert same_fiber(x, y, 1e-9)
+
+
+@pytest.fixture
+def contraction_eigh_calls(monkeypatch):
+    """Records the matrices contraction diagonalizes."""
+    calls = []
+    real = contraction._eigh
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(contraction, "_eigh", counted)
+    return calls
+
+
+class TestPointSpectrum:
+    def test_fiber_test_and_normal_form_share_one_solve(self, contraction_eigh_calls):
+        rng = np.random.default_rng(163)
+        h0 = haar_unitary(4, rng)
+        v = h0.conj().T @ np.diag([2.0, 2.0, -1.0, 0.5]) @ h0
+        x = CotangentPoint(haar_unitary(4, rng), 0.5 * (v + v.conj().T))
+        y = CotangentPoint(x.k @ h0.conj().T @ block_special_unitary(
+            [(0, 2), (2, 3), (3, 4)], rng) @ h0, x.v)
+        assert same_fiber(x, y, 1e-9)
+        cp = contract_point(x)
+        assert len(contraction_eigh_calls) == 1
+        assert contraction_eigh_calls[0] is x.v
+        w, U = _eigh(x.v)
+        assert np.array_equal(cp.w, w)
+        assert np.array_equal(cp.g, x.k @ U)
+
+    def test_normal_form_owns_its_spectrum(self):
+        x = CotangentPoint(np.eye(3), np.diag([3.0, 2.0, 1.0]))
+        cp = contract_point(x)
+        cp.w[0] = 9.0                               # the caller's copy
+        assert contract_point(x).w.tolist() == [3.0, 2.0, 1.0]
+        for M in x._spectrum:
+            assert not M.flags.writeable
+
+    def test_unequal_momenta_solve_nothing(self, contraction_eigh_calls):
+        x = CotangentPoint(np.eye(2), np.diag([2.0, 1.0]))
+        assert not same_fiber(x, CotangentPoint(np.eye(2), np.diag([2.0, 1.5])), 1e-9)
+        assert contraction_eigh_calls == []
 
 
 class TestSameFiber:

@@ -115,6 +115,11 @@ class TestVfield:
         with pytest.raises(SingularLocus):
             vfield(np.zeros((3, 3)), m=1)
 
+    def test_overflowing_gradient_refused(self):
+        # |adj|^2 = 5e320 overflows although every entry and det are finite
+        with pytest.raises(InvariantViolation, match="overflows"):
+            vfield(np.diag(np.full(5, 1e40)), m=1)
+
     def test_m_requires_nonnegative_det(self):
         A = np.diag([1.0, -2.0])  # Re det = -2
         with pytest.raises(InvariantViolation):

@@ -253,6 +253,31 @@ def gt_entry_value(A, i, j):
     return float(np.linalg.eigvalsh(A[:j, :j])[::-1][i - 1])
 
 
+@pytest.fixture
+def gt_eigh_calls(monkeypatch):
+    """Counts the eigen-solves of gelfand_tsetlin (the leading blocks each
+    OrbitFunction diagonalizes)."""
+    calls = []
+    real = gelfand_tsetlin._eigh
+
+    def counted(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(gelfand_tsetlin, "_eigh", counted)
+    return calls
+
+
+def gt_entries(n):
+    """The n(n-1)/2 pattern entries x_{i,j}, j < n, as observables."""
+    return [OrbitFunction.gt_entry(i, j) for j in range(1, n) for i in range(1, j + 1)]
+
+
+def random_unit_hermitian(n, rng):
+    H = random_hermitian(n, rng)
+    return H / np.linalg.norm(H)
+
+
 class TestPoissonBracket:
     def test_self_bracket_zero(self):
         A = random_orbit_point([3.0, 1.0, -1.0], seed=1)
@@ -300,6 +325,54 @@ class TestPoissonBracket:
         with pytest.raises(PrincipalStratumViolation):
             OrbitFunction.gt_entry(1, 2).gradient(A)
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_sweep_solves_each_eigenproblem_once(self, n, gt_eigh_calls):
+        lam = np.linspace(2.0, -2.0, n)
+        A = random_orbit_point(lam, seed=n)
+        fs = gt_entries(n)
+        sweep = [poisson_bracket(f, g, A) for f, g in product(fs, repeat=2)]
+        assert len(gt_eigh_calls) == len(fs) == n * (n - 1) // 2
+        # the memo changes no bit: fresh observables solve every bracket anew
+        fresh = [poisson_bracket(OrbitFunction(f.i, f.j), OrbitFunction(g.i, g.j), A)
+                 for f, g in product(fs, repeat=2)]
+        assert sweep == fresh
+        assert max(map(abs, sweep)) < 1e-8
+
+    def test_in_place_change_is_a_new_point(self, gt_eigh_calls):
+        A = random_orbit_point([2.0, 0.5, -0.5, -2.0], seed=17)
+        B = random_orbit_point([1.5, 1.0, -0.3, -1.2], seed=18)
+        f, g = OrbitFunction.gt_entry(1, 2), OrbitFunction.gt_entry(2, 3)
+        before = poisson_bracket(f, g, A)
+        A[:] = B                                    # the caller's array, changed in place
+        after = poisson_bracket(f, g, A)
+        assert len(gt_eigh_calls) == 4
+        assert after == poisson_bracket(OrbitFunction(1, 2), OrbitFunction(2, 3), B)
+        assert after != before
+        A[0, 1] += 0.25                             # one entry of the leading 2 x 2 block
+        A[1, 0] += 0.25
+        assert poisson_bracket(f, g, A) == poisson_bracket(
+            OrbitFunction(1, 2), OrbitFunction(2, 3), A.copy())
+
+    def test_returned_gradient_is_the_callers(self, gt_eigh_calls):
+        A = random_orbit_point([2.0, 0.5, -1.0], seed=19)
+        f, g = OrbitFunction.gt_entry(1, 2), OrbitFunction.gt_entry(1, 1)
+        G = f.gradient(A)
+        before = poisson_bracket(f, g, A)
+        G[:] = 7.0                                  # writable, and not the memo
+        assert poisson_bracket(f, g, A) == before
+        assert np.array_equal(f.gradient(A), OrbitFunction(1, 2).gradient(A))
+        assert len(gt_eigh_calls) == 3              # f, g, then the fresh (1, 2)
+
+    def test_bracket_matches_commutator_formula(self):
+        rng = np.random.default_rng(157)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            A = 10.0 ** rng.uniform(-3, 3) * random_hermitian(n, rng)
+            H1, H2 = random_unit_hermitian(n, rng), random_unit_hermitian(n, rng)
+            ref = float(np.trace(A @ (1j * (H1 @ H2 - H2 @ H1))).real)
+            b = poisson_bracket(LinearPairing(H1), LinearPairing(H2), A)
+            assert abs(b - ref) <= 1e-14 * np.linalg.norm(A)
+
 
 class TestRandomOrbitPoint:
     def test_spectrum_and_determinism(self):
@@ -322,3 +395,18 @@ class TestRandomOrbitPoint:
     def test_non_finite_spectrum_refused(self, lam):
         with pytest.raises(InvariantViolation, match="finite"):
             random_orbit_point(lam, seed=1)
+
+    def test_spectrum_near_the_float64_limit(self):
+        # A + A* would overflow here; 0.5 A + 0.5 A* does not
+        lam = [1.7e308, -1.7e308, 0.0]
+        A = random_orbit_point(lam, seed=1)
+        assert np.isfinite(A).all()
+        assert np.array_equal(A, A.conj().T)
+        assert np.allclose(gt_pattern(A).top(), sorted(lam, reverse=True), rtol=0.0,
+                           atol=1e-12 * 1.7e308)
+
+    def test_overflowing_point_refused(self):
+        # rounding lifts a diagonal entry of U diag(max) U* past the limit
+        lam = [np.finfo(float).max] * 3
+        with pytest.raises(InvariantViolation, match="overflows"):
+            random_orbit_point(lam, seed=2)
