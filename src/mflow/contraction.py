@@ -21,6 +21,7 @@ from .branching import _integers
 from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import (
     _eigh,
+    _hermitian,
     as_complex_matrix,
     check_hermitian,
     check_positive_det,
@@ -88,18 +89,30 @@ class ContractedPoint:
     g: np.ndarray
 
 
+def _gaps(sigma: np.ndarray) -> np.ndarray:
+    """sigma_i^2 - sigma_min^2 for descending singular values sigma, from one
+    array of squares: exactly 0 at the smallest value and >= 0 elsewhere. (A
+    scalar sigma_min ** 2 can round one unit off sigma_min * sigma_min.) A
+    sigma_max^2 that overflows float64 raises InvariantViolation."""
+    top = float(sigma[0])
+    if not math.isfinite(top * top):
+        raise InvariantViolation("sigma_max^2 overflows float64; the contraction is undefined")
+    s2 = sigma * sigma
+    return s2 - s2[-1]
+
+
 def contract_closed_form(B) -> np.ndarray:
     """Closed-form contraction U sqrt(B*B - l_min(B*B) I) with B = U P polar.
 
     Agrees with the endpoint of the normalized determinant gradient flow;
     proved in rank 2, validated against the flow integrator for larger n by
-    the acceptance suite. The result is singular and carries the same
-    traceless right momentum as B.
+    the acceptance suite. The result is exactly singular (its last singular
+    direction is scaled by an exact 0) and carries the same traceless right
+    momentum as B. A B whose largest squared singular value overflows
+    float64 is refused with InvariantViolation.
     """
-    M = as_complex_matrix(B)
-    W, s, Vh = np.linalg.svd(M)
-    shifted = np.sqrt(np.maximum(s * s - s[-1] ** 2, 0.0))     # s descends
-    return (W * shifted) @ Vh
+    W, s, Vh = np.linalg.svd(as_complex_matrix(B))
+    return (W * np.sqrt(_gaps(s))) @ Vh
 
 
 # Newton steps of flow_closed_form: random SL(2..12) and clustered starts at
@@ -122,17 +135,16 @@ def flow_closed_form(B, s: float) -> np.ndarray:
     Newton's method on log x started at log sigma_min^2 (s = 0) falls
     monotonically onto the root (for s < 0, the flow run backwards, its
     first step overshoots and the rest fall). From s = d0 on x = 0, and the
-    point is contract_closed_form(B).
+    point is contract_closed_form(B), from the same SVD.
     """
     M = check_positive_det(B)
     if not math.isfinite(s):
         raise InvariantViolation(f"flow time must be finite, got {float(s)}")
     W, sigma, Vh = np.linalg.svd(M)
     d0 = float(np.prod(sigma))
+    g = _gaps(sigma)
     if s >= d0:
-        return contract_closed_form(M)
-    s2 = sigma * sigma
-    g = s2 - s2[-1]     # exactly 0 at the smallest value, >= 0 elsewhere
+        return (W * np.sqrt(g)) @ Vh
     target = 2.0 * math.log(d0 - s)
     y = 2.0 * math.log(sigma[-1])
     for _ in range(_NEWTON_ITERATIONS):
@@ -227,5 +239,4 @@ def star_action(A, level: int, phases) -> np.ndarray:
             f"leading {j}x{j} submatrix has a degenerate eigenvalue")
     C = np.eye(n, dtype=complex)
     C[:j, :j] = (U * np.exp(1j * theta)) @ U.conj().T
-    out = C @ M @ C.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _hermitian(C @ M @ C.conj().T)

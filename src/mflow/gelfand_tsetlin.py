@@ -20,7 +20,7 @@ import numpy as np
 
 from .branching import MAX_WEIGHT, _check_weakly_decreasing, _integers
 from .errors import InvariantViolation, PrincipalStratumViolation
-from .matrices import CLUSTER_TOL, _eigh, check_hermitian, haar_unitary
+from .matrices import CLUSTER_TOL, _eigh, _hermitian, check_hermitian, haar_unitary
 
 __all__ = [
     "GTPattern",
@@ -301,17 +301,20 @@ def poisson_bracket(f: OrbitFunction, g: OrbitFunction, A) -> float:
 def random_orbit_point(spectrum, seed: int) -> np.ndarray:
     """Haar-conjugated point U diag(spectrum) U* of the coadjoint orbit.
 
-    The Hermitian part is taken as 0.5 A + 0.5 A*, as _eigh takes it, so
-    entries near the float64 limit do not overflow in the sum; a point whose
-    entries still overflow is refused with InvariantViolation.
+    The point is the _hermitian part of the product, so entries near the
+    float64 limit do not overflow in the symmetrizing sum; a point whose
+    entries still overflow is refused with InvariantViolation. seed is a
+    nonnegative integer (integral floats and numpy ints pass).
     """
     lam = np.asarray(spectrum, dtype=float).ravel()
     if not np.isfinite(lam).all():
         raise InvariantViolation("spectrum must be finite")
+    (seed,) = _integers((seed,), "seed")
+    if seed < 0:
+        raise InvariantViolation(f"seed must be nonnegative, got {seed}")
     U = haar_unitary(lam.size, np.random.default_rng(seed))
     with np.errstate(over="ignore", invalid="ignore"):
-        H = 0.5 * ((U * lam) @ U.conj().T)
-        A = H + H.conj().T
+        A = _hermitian((U * lam) @ U.conj().T)
     if not np.isfinite(A).all():
         raise InvariantViolation("orbit point overflows float64")
     return A

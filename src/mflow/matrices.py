@@ -81,15 +81,15 @@ def check_unitary(U) -> np.ndarray:
 
 
 def check_positive_det(A) -> np.ndarray:
-    """Validate a finite, real positive det(A) (imaginary part within
-    1e-9 (1 + |det|)), where the determinant flow starts, and return A as
-    ndarray."""
+    """Validate a finite, real positive det(A) (|Im det| within 1e-9 |det|,
+    a phase within 1e-9 rad of 0 at any scale), where the determinant flow
+    starts, and return A as ndarray."""
     M = as_complex_matrix(A)
     with np.errstate(over="ignore", invalid="ignore"):
         det = complex(np.linalg.det(M))
     if not cmath.isfinite(det):
         raise InvariantViolation(f"flow start needs a finite determinant, got {det}")
-    if abs(det.imag) > 1e-9 * (1.0 + abs(det)) or det.real <= 0.0:
+    if abs(det.imag) > 1e-9 * abs(det) or det.real <= 0.0:
         raise InvariantViolation(f"flow start needs real positive determinant, got {det:.3e}")
     return M
 
@@ -136,16 +136,20 @@ def eig_hermitian(A):
     return _eigh(check_hermitian(A))
 
 
-def _eigh(M: np.ndarray):
-    """eig_hermitian of a matrix that check_hermitian has accepted.
+def _hermitian(X: np.ndarray) -> np.ndarray:
+    """The Hermitian part of X, as H + H* with H = 0.5 X: halving a normal
+    float is exact, so this rounds as 0.5 (X + X*) does, but no sum of two
+    entries near the float64 limit overflows."""
+    H = 0.5 * X
+    return H + H.conj().T
 
-    The Hermitian part is H + H* with H = 0.5 M: halving a normal float is
-    exact, so this rounds as 0.5 (M + M*) does, but no sum of two entries
-    near the float64 limit overflows. A spectrum that overflows float64
-    raises InvariantViolation.
+
+def _eigh(M: np.ndarray):
+    """eig_hermitian of a matrix that check_hermitian has accepted, solved
+    on its _hermitian part. A spectrum that overflows float64 raises
+    InvariantViolation.
     """
-    H = 0.5 * M
-    vals, vecs = np.linalg.eigh(H + H.conj().T)
+    vals, vecs = np.linalg.eigh(_hermitian(M))
     w = vals[::-1].copy()
     v = w.tolist()
     if not all(map(math.isfinite, v)):
@@ -164,9 +168,7 @@ def polar_decompose(B):
     M = as_complex_matrix(B)
     W, s, Vh = np.linalg.svd(M)
     U = W @ Vh
-    P = (Vh.conj().T * s) @ Vh
-    P = 0.5 * (P + P.conj().T)
-    return U, P
+    return U, _hermitian((Vh.conj().T * s) @ Vh)
 
 
 def adjugate(A) -> np.ndarray:
@@ -246,8 +248,7 @@ def momentum_right(B) -> np.ndarray:
     Its su(n)* component is traceless(momentum_right(B)).
     """
     M = as_complex_matrix(B)
-    H = M.conj().T @ M
-    return 0.5 * (H + H.conj().T)
+    return _hermitian(M.conj().T @ M)
 
 
 def traceless(H) -> np.ndarray:
@@ -268,8 +269,7 @@ def section_sqrt(H):
         raise NotPositiveSemidefinite(
             f"eigenvalue {w[-1]:.3e} below -{margin:.3e}")
     wc = np.clip(w, 0.0, None)
-    S = (U * np.sqrt(wc)) @ U.conj().T
-    return 0.5 * (S + S.conj().T)
+    return _hermitian((U * np.sqrt(wc)) @ U.conj().T)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

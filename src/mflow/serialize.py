@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import ParseError
-from .flow import FlowTrajectory, _diagnostics, _retime
+from .flow import FlowTrajectory, _diagnostics
 from .gelfand_tsetlin import GTPattern
 from .matrices import as_complex_matrix
 from .polygons import PolygonConfig
@@ -212,8 +212,8 @@ def save_trajectory(path: str, traj: FlowTrajectory, samples: int | None = None)
     Bs = np.stack([traj.points[0], *mats, traj.terminal])
     dets, drift = _diagnostics(Bs)
     d0 = traj.start_det
-    # the unit-rate field reaches det = 0 at time d0
-    ts = [0.0, *ts, _retime(d0, 1, traj.config.m, d0)]
+    # the unit-rate field reaches det = 0 at time d0, the m-field at d0^(1/m)
+    ts = [0.0, *ts, d0 ** (1.0 / traj.config.m)]
     rows = np.column_stack([ts, Bs.view(float).reshape(len(Bs), -1),
                             dets.real, dets.imag, drift])
     # what csv.writer's excel dialect writes for these fields: no field needs

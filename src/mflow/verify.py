@@ -45,6 +45,7 @@ from .gelfand_tsetlin import (
     weyl_dim,
 )
 from .matrices import (
+    _hermitian,
     adjugate,
     eig_hermitian,
     haar_special_unitary,
@@ -99,8 +100,7 @@ def _mismatches(name, bad, detail) -> Measurement:
 
 
 def _random_hermitian(n, rng):
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (Z + Z.conj().T)
+    return _hermitian(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def _random_sl(n, rng):
@@ -141,8 +141,7 @@ def check_polar_consistency(rng):
 
 def check_section_round_trip(rng):
     Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    H = Z.conj().T @ Z
-    H = 0.5 * (H + H.conj().T)
+    H = _hermitian(Z.conj().T @ Z)
     resid = np.linalg.norm(momentum_right(section_sqrt(H)) - H) / (1 + np.linalg.norm(H))
     return [_worst("section-momentum-round-trip", [resid], 1e-9, "residual / (1 + |H|)")]
 
@@ -402,8 +401,7 @@ def check_fiber_relation(rng, trials):
 
     # block momentum: per-block determinant-1 criterion
     h0 = haar_unitary(4, rng)
-    vb = h0.conj().T @ np.diag([2.0, 2.0, -1.0, -1.0]) @ h0
-    vb = 0.5 * (vb + vb.conj().T)
+    vb = _hermitian(h0.conj().T @ np.diag([2.0, 2.0, -1.0, -1.0]) @ h0)
     partition = [(0, 2), (2, 4)]
     kb = haar_unitary(4, rng)
     xb = CotangentPoint(kb, vb)

@@ -106,3 +106,41 @@ def test_benchmark_trajectory_reads_resolve():
     assert {"samples", "terminal", "at"} <= reads["traj"]
     assert {"accepted", "rejected"} <= reads["stats"]
     assert unresolved == []
+
+
+def _conjugate_transpose_of(node):
+    """The expression E when node is E.conj().T, E.T.conj(), or the same with
+    conjugate(); else None."""
+    calls = ("conj", "conjugate")
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        call = node.value
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr in calls and not call.args):
+            return call.func.value
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in calls and not node.args):
+        inner = node.func.value
+        if isinstance(inner, ast.Attribute) and inner.attr == "T":
+            return inner.value
+    return None
+
+
+def test_one_hermitian_part():
+    """matrices._hermitian is the package's one symmetrization X + X*: a sum
+    of an expression and its conjugate transpose anywhere else in src/mflow
+    fails here (call _hermitian instead)."""
+    src = pathlib.Path(mflow.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+                    continue
+                for a, b in ((node.left, node.right), (node.right, node.left)):
+                    base = _conjugate_transpose_of(b)
+                    if base is not None and ast.unparse(base) == ast.unparse(a):
+                        found.append(f"{path.stem}.{func.name}: {ast.unparse(node)}")
+    assert found == ["matrices._hermitian: H + H.conj().T"]

@@ -175,6 +175,15 @@ class TestSerialize:
         assert values[-1, 0] == traj.start_det ** (1 / m)
         assert np.array_equal(values[-1, 1:-3].view(complex), traj.terminal.ravel())
 
+    def test_terminal_time_is_the_retimed_end_bit_for_bit(self):
+        # the CSV writes the m-time of unit-rate time d0 as d0 ** (1 / m),
+        # which is flow._retime(d0, 1, m, d0) bit for bit
+        rng = np.random.default_rng(41)
+        for d0 in [*np.exp(rng.uniform(-40.0, 40.0, 300)), 1.0, 2.0, 1e-300, 1e300]:
+            for m in (1, 2, 3, 4):
+                assert d0 ** (1.0 / m) == flow._retime(d0, 1, m, d0)
+        assert not hasattr(serialize, "_retime")
+
     def test_trajectory_csv_without_samples_is_header_and_terminal(self, tmp_path):
         traj = integrate_flow(self._start())
         full, empty = str(tmp_path / "full.csv"), str(tmp_path / "empty.csv")
@@ -461,6 +470,28 @@ class TestCli:
             assert main(["flow", "--in", src]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("InvariantViolation")
+        assert captured.out == ""
+
+    def test_overflowing_square_exit_1(self, tmp_path, capsys):
+        # finite entries, but sigma_max^2 = 1e400: the contraction names the
+        # overflow instead of failing on its own non-finite result
+        src = str(tmp_path / "B.json")
+        serialize.save_matrix(src, np.diag([1e200, 1e-200, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["contract", "--in", src]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("InvariantViolation: sigma_max^2 overflows float64; "
+                                "the contraction is undefined\n")
+        assert captured.out == ""
+
+    def test_start_of_large_phase_exit_1(self, tmp_path, capsys):
+        # det 1e-12 + 1e-10i is 89 degrees off the real axis
+        src = str(tmp_path / "B.json")
+        serialize.save_matrix(src, np.diag([1e-4 * (1 + 100j), 1e-4, 1e-4]))
+        assert main(["flow", "--in", src]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvariantViolation: flow start needs real positive")
         assert captured.out == ""
 
     def test_domain_error_exit_1_names_error(self, tmp_path, capsys):

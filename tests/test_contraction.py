@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,44 @@ class TestClosedForm:
             C = flow_closed_form(B, s)
             assert np.all(np.isfinite(C))
             assert abs(np.linalg.det(C).real / (d0 - s) - 1.0) < 1e-12
+
+    def test_scalar_square_rounding_low_still_singular(self):
+        # 0.7695013549035957 ** 2 as a numpy scalar is one unit below its
+        # square as an array entry; the shift must still be an exact 0
+        out = contract_closed_form(np.diag([2.0, 1.0, 0.7695013549035957]))
+        assert out[2, 2] == 0.0
+        assert np.linalg.det(out) == 0.0
+
+    def test_shift_from_one_array_of_squares(self):
+        # where the scalar and array squares of sigma_min differ, the result
+        # is singular to rounding; elsewhere it is bit-equal to the formula
+        # sqrt(max(sigma^2 - sigma_min ** 2, 0)) it replaced
+        rng = np.random.default_rng(1)
+        differ = same = 0
+        for k in range(20000):
+            n = 2 + k % 4
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            W, s, Vh = np.linalg.svd(B)
+            if s[-1] ** 2 != s[-1] * s[-1]:
+                differ += 1
+                smin = np.linalg.svd(contract_closed_form(B), compute_uv=False)[-1]
+                assert smin <= 1e-15 * np.linalg.norm(B)
+            elif same < 2000:
+                same += 1
+                old = (W * np.sqrt(np.maximum(s * s - s[-1] ** 2, 0.0))) @ Vh
+                assert contract_closed_form(B).tobytes() == old.tobytes()
+        assert differ > 0 and same == 2000
+
+    def test_overflowing_square_refused(self):
+        # finite entries and det 1, but sigma_max^2 = 1e400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="sigma_max\\^2 overflows"):
+                contract_closed_form(np.diag([1e200, 1e-200, 1.0]))
+            with pytest.raises(InvariantViolation, match="sigma_max\\^2 overflows"):
+                flow_closed_form(np.diag([1e200, 1e-200]), 0.5)
+        big = np.diag([1e154, 1e-154])      # sigma_max^2 = 1e308 is finite
+        assert np.array_equal(contract_closed_form(big), np.diag([1e154, 0.0]))
 
     def test_flow_closed_form_refuses_what_has_no_flow(self):
         with pytest.raises(InvariantViolation):

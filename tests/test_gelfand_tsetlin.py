@@ -405,6 +405,17 @@ class TestRandomOrbitPoint:
         assert np.allclose(gt_pattern(A).top(), sorted(lam, reverse=True), rtol=0.0,
                            atol=1e-12 * 1.7e308)
 
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), float("inf"), "a", None, -1, -2.0])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvariantViolation, match="seed"):
+            random_orbit_point([1.0, 0.0], seed)
+
+    @pytest.mark.parametrize("seed", [2.0, np.int64(2), np.float64(2.0)],
+                             ids=["float", "int64", "float64"])
+    def test_integral_seed_reads_as_its_int(self, seed):
+        lam = [2.0, 0.5, -1.0]
+        assert random_orbit_point(lam, seed).tobytes() == random_orbit_point(lam, 2).tobytes()
+
     def test_overflowing_point_refused(self):
         # rounding lifts a diagonal entry of U diag(max) U* past the limit
         lam = [np.finfo(float).max] * 3

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mflow import matrices
-from mflow.contraction import flow_closed_form
+from mflow import matrices, verify
+from mflow.contraction import flow_closed_form, star_action
 from mflow.errors import InvariantViolation, NotPositiveSemidefinite
 from mflow.matrices import (
     adjugate,
@@ -20,6 +20,7 @@ from mflow.matrices import (
     section_sqrt,
     traceless,
 )
+from mflow.gelfand_tsetlin import random_orbit_point
 
 
 def adjugate_by_minors(A):
@@ -453,6 +454,65 @@ class TestAsComplexMatrix:
         assert M.shape == (0, 0) and M.dtype == complex
 
 
+def halved_sum(X):
+    """The symmetrization every Hermitian-returning function used before
+    matrices._hermitian: 0.5 (X + X*)."""
+    return 0.5 * (X + X.conj().T)
+
+
+class TestHermitianPart:
+    """Each function that returns a Hermitian matrix takes its Hermitian part
+    through matrices._hermitian: bit-equal to 0.5 (X + X*) on normal floats,
+    and finite where the sum X + X* would overflow."""
+
+    def test_bit_equal_to_halved_sum(self):
+        rng = np.random.default_rng(29)
+        for n in range(2, 7):
+            for _ in range(20):
+                B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                assert momentum_right(B).tobytes() == halved_sum(B.conj().T @ B).tobytes()
+
+                W, s, Vh = np.linalg.svd(B)
+                P = halved_sum((Vh.conj().T * s) @ Vh)
+                assert polar_decompose(B)[1].tobytes() == P.tobytes()
+
+                H = B.conj().T @ B
+                w, U = matrices._eigh(H)
+                S = halved_sum((U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T)
+                assert section_sqrt(H).tobytes() == S.tobytes()
+
+                A = halved_sum(B)
+                j = 1 + int(rng.integers(n - 1))
+                phases = rng.uniform(-np.pi, np.pi, j)
+                _, V = matrices._eigh(A[:j, :j])
+                C = np.eye(n, dtype=complex)
+                C[:j, :j] = (V * np.exp(1j * phases)) @ V.conj().T
+                moved = halved_sum(C @ A @ C.conj().T)
+                assert star_action(A, j, phases).tobytes() == moved.tobytes()
+
+                lam = rng.standard_normal(n)
+                seed = int(rng.integers(1000))
+                V = haar_unitary(n, np.random.default_rng(seed))
+                point = halved_sum((V * lam) @ V.conj().T)
+                assert random_orbit_point(lam, seed).tobytes() == point.tobytes()
+
+                state = rng.bit_generator.state
+                Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                rng.bit_generator.state = state
+                assert verify._random_hermitian(n, rng).tobytes() == halved_sum(Z).tobytes()
+
+    def test_finite_at_the_float64_limit(self):
+        # entries near +-1.7e308: their sum X + X* overflows
+        A = random_orbit_point([1.7e308, -1.7e308, 0.0], seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in (1, 2):
+                assert np.isfinite(star_action(A, j, np.full(j, 0.3))).all()
+            U, P = polar_decompose(A)
+        assert np.isfinite(U).all() and np.isfinite(P).all()
+        assert np.array_equal(P, P.conj().T)
+
+
 class TestCheckPositiveDet:
     @pytest.mark.parametrize("scale", [1e200, 1e62])
     def test_refuses_a_determinant_that_overflows(self, scale):
@@ -464,6 +524,17 @@ class TestCheckPositiveDet:
                 check_positive_det(A)
             with pytest.raises(InvariantViolation, match="finite determinant"):
                 flow_closed_form(A, 0.0)
+
+    def test_phase_test_is_relative(self):
+        # det 1e-12 + 1e-10i: a phase of 89 degrees, refused at any scale
+        with pytest.raises(InvariantViolation, match="real positive"):
+            check_positive_det(np.diag([1e-4 * (1 + 100j), 1e-4, 1e-4]))
+        # a small SL(3) multiple has det 1e-9 with a rounding-size phase
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            B = 1e-3 * B / np.linalg.det(B) ** (1.0 / 3.0)
+            assert check_positive_det(B).tobytes() == B.tobytes()
 
     def test_accepts_a_large_finite_determinant(self):
         A = np.diag(np.full(5, 1e61))   # det 1e305
