@@ -22,6 +22,7 @@ from .errors import InvariantViolation, PrincipalStratumViolation
 from .matrices import (
     _eigh,
     _hermitian,
+    _nonempty,
     as_complex_matrix,
     check_hermitian,
     check_positive_det,
@@ -108,10 +109,10 @@ def contract_closed_form(B) -> np.ndarray:
     proved in rank 2, validated against the flow integrator for larger n by
     the acceptance suite. The result is exactly singular (its last singular
     direction is scaled by an exact 0) and carries the same traceless right
-    momentum as B. A B whose largest squared singular value overflows
-    float64 is refused with InvariantViolation.
+    momentum as B. A 0x0 B, and a B whose largest squared singular value
+    overflows float64, are refused with InvariantViolation.
     """
-    W, s, Vh = np.linalg.svd(as_complex_matrix(B))
+    W, s, Vh = np.linalg.svd(_nonempty(as_complex_matrix(B)))
     return (W * np.sqrt(_gaps(s))) @ Vh
 
 

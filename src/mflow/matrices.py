@@ -60,6 +60,14 @@ def as_complex_matrix(A) -> np.ndarray:
     return M
 
 
+def _nonempty(M: np.ndarray) -> np.ndarray:
+    """M, refused with InvariantViolation when it is 0x0: for the functions
+    that have no meaning at n = 0."""
+    if not M.size:
+        raise InvariantViolation("expected an n x n matrix with n >= 1, got 0x0")
+    return M
+
+
 def check_hermitian(A) -> np.ndarray:
     """Validate max|A - A*| <= HERMITIAN_TOL (1 + max|A|) and return A as
     ndarray."""
@@ -72,8 +80,8 @@ def check_hermitian(A) -> np.ndarray:
 
 
 def check_unitary(U) -> np.ndarray:
-    """Validate max|U*U - I| <= UNITARY_TOL and return U as ndarray."""
-    M = as_complex_matrix(U)
+    """Validate max|U*U - I| <= UNITARY_TOL and return U as ndarray (n >= 1)."""
+    M = _nonempty(as_complex_matrix(U))
     dev = np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
     if dev > UNITARY_TOL:
         raise InvariantViolation(f"matrix is not unitary: max|U*U - I| = {dev:.3e}")
@@ -83,8 +91,8 @@ def check_unitary(U) -> np.ndarray:
 def check_positive_det(A) -> np.ndarray:
     """Validate a finite, real positive det(A) (|Im det| within 1e-9 |det|,
     a phase within 1e-9 rad of 0 at any scale), where the determinant flow
-    starts, and return A as ndarray."""
-    M = as_complex_matrix(A)
+    starts, and return A as ndarray (n >= 1)."""
+    M = _nonempty(as_complex_matrix(A))
     with np.errstate(over="ignore", invalid="ignore"):
         det = complex(np.linalg.det(M))
     if not cmath.isfinite(det):
@@ -252,7 +260,8 @@ def momentum_right(B) -> np.ndarray:
 
 
 def traceless(H) -> np.ndarray:
-    M = as_complex_matrix(H)
+    """H - (tr H / n) I, for n >= 1."""
+    M = _nonempty(as_complex_matrix(H))
     n = M.shape[0]
     return M - (np.trace(M) / n) * np.eye(n)
 

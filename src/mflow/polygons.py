@@ -2,18 +2,25 @@
 
 A polygon is stored by its edge vectors; diagonals are contiguous runs of
 edge indices, and bending rotates the edges of a run about the axis spanned
-by their sum. Polygons built from side/diagonal data are anchored (first
-edge along +x, fan plane = xy before bending), so construction is
-deterministic; the isometry quotient is only ever compared through
-invariants.
+by their sum. A polygon built from action-angle data (sides, fan diagonals,
+angles) is the flat fan moved by the bending flows of its fan diagonals.
+It is anchored (first edge along +x, fan plane = xy before bending), so
+construction is deterministic; the isometry quotient is only ever compared
+through invariants.
+
+One rule decides that a length is zero: it is at most CLOSURE_TOL times
+the polygon's longest edge. It applies to closure, to bend axes, and to the
+fan's triangle slack and opening angles.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
+from .branching import _integers
 from .errors import InvariantViolation, TriangleInfeasible, UndefinedBendAxis
 
 __all__ = [
@@ -26,13 +33,17 @@ __all__ = [
     "measure_caterpillar",
 ]
 
-CLOSURE_TOL = 1e-9    # relative: scaled by max edge length
-BEND_FLOOR = 1e-12    # bend axes no longer than this are undefined
+CLOSURE_TOL = 1e-9    # zero length, relative: scaled by the longest edge
 
 
 @dataclasses.dataclass(frozen=True)
 class PolygonConfig:
-    """Closed polygon given by its n edge vectors in R^3, of length 0 or more."""
+    """Closed polygon given by its n edge vectors in R^3, of length 0 or more.
+
+    Closed means |sum e_i| <= CLOSURE_TOL times the longest edge. The edges
+    must be finite, with 3 (n max|e_ij|)^2 finite in float64, which bounds
+    the squared length of every run sum; else InvariantViolation.
+    """
 
     edges: np.ndarray
 
@@ -40,12 +51,16 @@ class PolygonConfig:
         E = np.asarray(self.edges, dtype=float)
         if E.ndim != 2 or E.shape[1] != 3 or E.shape[0] < 3:
             raise InvariantViolation(f"expected an (n, 3) edge array, n >= 3, got {E.shape}")
-        if not np.isfinite(E).all():
+        big = float(np.abs(E).max())        # NaN or inf when an entry is
+        if not math.isfinite(big):
             raise InvariantViolation("edges must be finite")
+        run = E.shape[0] * big              # bounds every run sum's coordinates
+        if not math.isfinite(3.0 * run * run):
+            raise InvariantViolation(
+                f"edge coordinate {big:.3e} overflows float64 in a squared run length")
         object.__setattr__(self, "edges", E)
-        norms = np.linalg.norm(E, axis=1)
         closure = np.linalg.norm(E.sum(axis=0))
-        if closure > CLOSURE_TOL * max(norms.max(), 1e-300):
+        if closure > CLOSURE_TOL * self.side_lengths().max():
             raise InvariantViolation(f"polygon does not close: |sum e_i| = {closure:.3e}")
 
     @property
@@ -57,7 +72,7 @@ class PolygonConfig:
 
 
 def _as_run(diagonal, n) -> tuple:
-    idx = sorted(set(int(i) for i in diagonal))
+    idx = sorted(set(_integers(diagonal, "diagonal indices")))
     if not idx or idx[0] < 1 or idx[-1] > n:
         raise InvariantViolation(f"diagonal indices must lie in 1..{n}: {idx}")
     if idx != list(range(idx[0], idx[-1] + 1)):
@@ -94,10 +109,13 @@ def build_polygon(r, d, angles) -> PolygonConfig:
     """Anchored polygon with side lengths r, fan diagonal lengths d, and
     dihedral bending angles about each fan diagonal.
 
-    The fan is laid flat in the xy-plane and then each bending angle rotates
-    the tail of the polygon about its diagonal, so sides and diagonals are
+    The fan is laid flat in the xy-plane, and then each fan diagonal k
+    bends it by angles[k - 1]: bend of the tail run k+2..n, whose sum is
+    minus that diagonal, by -angles[k - 1]. So sides and diagonals are
     exact to rounding. Each consecutive triple (previous diagonal, side,
-    next diagonal) must satisfy the weak triangle inequality.
+    next diagonal) must satisfy the triangle inequality up to the zero
+    length CLOSURE_TOL max(r), else TriangleInfeasible; a nonzero angle
+    about a zero diagonal raises UndefinedBendAxis.
     """
     r = np.asarray(r, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
@@ -114,38 +132,29 @@ def build_polygon(r, d, angles) -> PolygonConfig:
         raise InvariantViolation("lengths must be nonnegative")
 
     g = np.concatenate([[r[0]], d, [r[-1]]])
-    for k in range(1, n - 1):
-        a, b, c = g[k - 1], r[k], g[k]
-        if c > a + b + 1e-12 * max(a + b, 1.0) or c < abs(a - b) - 1e-12 * max(a + b, 1.0):
-            raise TriangleInfeasible((a, b, c))
-
+    # the triangle tests and fan angles read the lengths over a power of two
+    # near max(r): exact, so a build scaled by 2^j is this one scaled, bit
+    # for bit, and no sum or square below overflows or underflows
+    e = -math.frexp(r.max())[1]
+    gu, ru = np.ldexp(g, e), np.ldexp(r, e)
+    zero = CLOSURE_TOL * ru.max()
     # planar fan: P_{k+1} sits at distance g_k from the origin, opening by
     # the triangle angle at the base vertex
     phi = 0.0
     verts = [np.zeros(3), np.array([r[0], 0.0, 0.0])]
     for k in range(1, n - 1):
-        denom = 2.0 * g[k - 1] * g[k]
-        if denom < 1e-300:
-            alpha = 0.0
-        else:
-            alpha = float(np.arccos(np.clip(
-                (g[k - 1] ** 2 + g[k] ** 2 - r[k] ** 2) / denom, -1.0, 1.0)))
-        phi += alpha
+        a, b, c = gu[k - 1], ru[k], gu[k]
+        if c > a + b + zero or c < abs(a - b) - zero:
+            raise TriangleInfeasible((g[k - 1], r[k], g[k]))
+        if min(a, c) > zero:
+            phi += float(np.arccos(np.clip((a ** 2 + c ** 2 - b ** 2) / (2.0 * a * c), -1.0, 1.0)))
         verts.append(g[k] * np.array([np.cos(phi), np.sin(phi), 0.0]))
-    verts = np.array(verts[: n])  # P_0 .. P_{n-1}
 
-    for k in range(1, n - 2):
-        if theta[k - 1] == 0.0:
-            continue
-        axis = verts[k + 1]
-        nrm = np.linalg.norm(axis)
-        if nrm <= BEND_FLOOR:
-            raise UndefinedBendAxis(f"fan diagonal {k} has zero length")
-        R = _rodrigues(axis / nrm, theta[k - 1])
-        verts[k + 2:] = verts[k + 2:] @ R.T
-
-    edges = np.diff(np.vstack([verts, np.zeros(3)]), axis=0)
-    return PolygonConfig(edges)
+    P = PolygonConfig(np.diff(np.vstack([*verts, np.zeros(3)]), axis=0))
+    for k, t in enumerate(theta, start=1):
+        if t != 0.0:
+            P = bend(P, range(k + 2, n + 1), -t)
+    return P
 
 
 def _rodrigues(unit_axis: np.ndarray, theta: float) -> np.ndarray:
@@ -166,24 +175,27 @@ def diagonal_lengths(P: PolygonConfig, T: Triangulation) -> np.ndarray:
 
 
 def bend(P: PolygonConfig, diagonal, theta: float) -> PolygonConfig:
-    """Rotate the edges of the diagonal run about the axis they sum to.
+    """Rotate the edges of the diagonal run by theta about the axis they sum to.
 
     The axis vector itself is fixed by the rotation, so closure, all side
     lengths, and the length of every diagonal nested in, containing, or
-    disjoint from this one are preserved.
+    disjoint from this one are preserved. The diagonal is a contiguous run
+    of integer edge indices in 1..n (integral floats and numpy ints pass;
+    anything else raises InvariantViolation). A run whose sum is zero
+    (length at most CLOSURE_TOL times the longest edge) has no axis and
+    raises UndefinedBendAxis.
     """
     run = _as_run(diagonal, P.n)
     theta = float(theta)
     if not np.isfinite(theta):
         raise InvariantViolation(f"bending angle must be finite, got {theta}")
-    idx = np.array(run) - 1
-    axis = P.edges[idx].sum(axis=0)
-    nrm = np.linalg.norm(axis)
-    if nrm <= BEND_FLOOR:
-        raise UndefinedBendAxis(f"diagonal {run} has zero length; no bending axis")
-    R = _rodrigues(axis / nrm, theta)
     edges = P.edges.copy()
-    edges[idx] = edges[idx] @ R.T
+    moved = edges[run[0] - 1:run[-1]]     # a view of the run's rows
+    axis = moved.sum(axis=0)
+    nrm = np.linalg.norm(axis)
+    if nrm <= CLOSURE_TOL * P.side_lengths().max():
+        raise UndefinedBendAxis(f"diagonal {run} has zero length; no bending axis")
+    moved[:] = moved @ _rodrigues(axis / nrm, theta).T
     # re-pin the closure: rotation fixes the run sum exactly up to rounding
     return PolygonConfig(edges)
 

@@ -69,6 +69,8 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected fields 'n' and 'entries'") from exc
+    if n < 1:
+        raise ParseError(f"{where}: n must be >= 1, got {n}")
     try:
         square = len(entries) == n and all(len(row) == n for row in entries)
     except TypeError:       # entries or a row without a length

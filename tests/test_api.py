@@ -144,3 +144,20 @@ def test_one_hermitian_part():
                     if base is not None and ast.unparse(base) == ast.unparse(a):
                         found.append(f"{path.stem}.{func.name}: {ast.unparse(node)}")
     assert found == ["matrices._hermitian: H + H.conj().T"]
+
+
+def test_one_bending_implementation():
+    """polygons.bend is the package's one rotation of polygon edges:
+    build_polygon bends its flat fan through bend, so a call of
+    polygons._rodrigues from anywhere else in src/mflow fails here."""
+    src = pathlib.Path(mflow.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1] == "_rodrigues"):
+                    callers.append(f"{path.stem}.{func.name}")
+    assert callers == ["polygons.bend"]

@@ -80,10 +80,13 @@ class TestSerialize:
         (serialize.matrix_from_json, {"n": True, "entries": [[[1, 0]]]}),
         (serialize.matrix_from_json, {"n": "1", "entries": [[[1, 0]]]}),
         (serialize.matrix_from_json, {"n": 1, "entries": [[[True, False]]]}),
+        (serialize.matrix_from_json, {"n": 0, "entries": []}),
+        (serialize.matrix_from_json, {"n": -1, "entries": []}),
     ], ids=["pattern-string", "pattern-bool", "polygon-string", "polygon-bool",
             "scenario-string", "scenario-bool", "scenario-null", "theta-string",
             "diagonal-fraction", "diagonal-float", "diagonal-bool",
-            "matrix-n-fraction", "matrix-n-bool", "matrix-n-string", "matrix-entry-bool"])
+            "matrix-n-fraction", "matrix-n-bool", "matrix-n-string", "matrix-entry-bool",
+            "matrix-n-zero", "matrix-n-negative"])
     def test_loaders_refuse_values_that_are_not_numbers(self, load, obj):
         with pytest.raises(ParseError):
             load(obj)
@@ -499,6 +502,24 @@ class TestCli:
         serialize.save_matrix(src, np.diag([1.0, -1.0]))  # det < 0
         assert main(["flow", "--in", src]) == 1
         assert "InvariantViolation" in capsys.readouterr().err
+
+    def test_empty_matrix_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "empty.json"
+        src.write_text('{"n": 0, "entries": []}')
+        assert main(["contract", "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ParseError: {src}: n must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    def test_overflowing_polygon_exit_1(self, capsys):
+        # the side lengths are finite, their squares are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["polygon", "--r", "1e200,1e200,1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("InvariantViolation: edge coordinate 1.000e+200 overflows "
+                                "float64 in a squared run length\n")
+        assert captured.out == ""
 
     def test_infeasible_polygon_exit_1(self, capsys):
         assert main(["polygon", "--r", "1,1,1,1", "--d", "3", "--angles", "0"]) == 1

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mflow
 from mflow import matrices, verify
 from mflow.contraction import flow_closed_form, star_action
 from mflow.errors import InvariantViolation, NotPositiveSemidefinite
@@ -452,6 +453,23 @@ class TestAsComplexMatrix:
     def test_accepts_an_empty_matrix(self):
         M = as_complex_matrix(np.empty((0, 0)))
         assert M.shape == (0, 0) and M.dtype == complex
+
+
+# Functions with no meaning at n = 0 refuse a 0x0 matrix by name; before,
+# they raised IndexError or ValueError, or warned of a 0/0.
+@pytest.mark.parametrize("call", [
+    lambda Z: mflow.contract_closed_form(Z),
+    lambda Z: mflow.flow_closed_form(Z, 0.5),
+    lambda Z: mflow.integrate_flow(Z),
+    lambda Z: mflow.CotangentPoint(Z, Z),
+    lambda Z: matrices.traceless(Z),
+], ids=["contract_closed_form", "flow_closed_form", "integrate_flow", "CotangentPoint",
+        "traceless"])
+def test_empty_matrix_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="n >= 1, got 0x0"):
+            call(np.zeros((0, 0)))
 
 
 def halved_sum(X):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,135 @@ class TestPolygonConfig:
         P = PolygonConfig(E)
         assert P.n == 4
         assert P.side_lengths().tolist() == [1.0, 0.0, 1.0, 0.0]
+
+
+def _hexagon():
+    """A random closed hexagon, its caterpillar data and bending angles."""
+    rng = np.random.default_rng(223)    # fan diagonals 0.64, 0.87, 0.76
+    P = random_closed_polygon(6, rng)
+    r, d = measure_caterpillar(P)
+    return P, r, d, rng.uniform(-np.pi, np.pi, size=3)
+
+
+class TestZeroLengthRule:
+    """A length is zero when it is at most CLOSURE_TOL times the polygon's
+    longest edge, for closure, bend axes and the fan alike, so builds and
+    bends do not depend on the scale of the polygon."""
+
+    @pytest.mark.parametrize("j", range(-40, 41, 5))
+    def test_scaled_by_a_power_of_two_bit_for_bit(self, j):
+        P, r, d, angles = _hexagon()
+        s = 2.0 ** j
+        assert (build_polygon(s * r, s * d, angles).edges
+                == s * build_polygon(r, d, angles).edges).all()
+        Q = PolygonConfig(s * P.edges)
+        for run in ((1, 2), (2, 3, 4), (3, 4, 5, 6)):
+            assert (bend(Q, run, 0.7).edges == s * bend(P, run, 0.7).edges).all()
+
+    @pytest.mark.parametrize("j", range(-13, 14))
+    def test_same_outcome_at_every_decimal_scale(self, j):
+        P, r, d, angles = _hexagon()
+        s = 10.0 ** j
+        B = build_polygon(s * r, s * d, angles)
+        assert np.allclose(measure_caterpillar(B)[1], s * d, rtol=1e-12, atol=0.0)
+        Q = PolygonConfig(s * P.edges)
+        for run in caterpillar_triangulation(6).diagonals:
+            bend(Q, run, 0.7)
+        with pytest.raises(TriangleInfeasible):
+            build_polygon([s, s, 3 * s], [], [])
+        with pytest.raises(UndefinedBendAxis):
+            bend(Q, range(1, 7), 0.7)     # the full run sums to rounding
+
+    def test_tiny_infeasible_triangle_refused(self):
+        # an absolute slack of 1e-12 once accepted it, returning sides
+        # (1e-13, 2e-13, 3e-13)
+        with pytest.raises(TriangleInfeasible):
+            build_polygon([1e-13, 1e-13, 3e-13], [], [])
+
+    @pytest.mark.parametrize("s", [1e-13, 2.0 ** -45])
+    def test_tiny_polygon_bends_and_rebuilds(self, s):
+        # an absolute bend-axis floor of 1e-12 once refused every diagonal
+        P, _, _, angles = _hexagon()
+        Q = PolygonConfig(s * P.edges)
+        B = bend(Q, (1, 2), 0.7)
+        assert np.max(np.abs(B.side_lengths() - Q.side_lengths())) <= 1e-15 * s
+        r, d = measure_caterpillar(Q)
+        assert np.allclose(measure_caterpillar(build_polygon(r, d, angles))[1], d,
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("s", [1e6, 1e13])
+    def test_large_full_run_has_no_axis(self, s):
+        # the run sum is closure rounding, which an absolute floor read as
+        # an axis once the polygon was large
+        P, _, _, _ = _hexagon()
+        with pytest.raises(UndefinedBendAxis):
+            bend(PolygonConfig(s * P.edges), range(1, 7), 0.7)
+
+    @pytest.mark.parametrize("delta, defined", [(2e-9, True), (5e-10, False)])
+    def test_bend_axis_threshold_is_relative(self, delta, defined):
+        for s in (1e-20, 1.0, 1e20):
+            P = PolygonConfig(s * np.array([[1.0, 0, 0], [delta - 1.0, 0, 0],
+                                            [0, 1.0, 0], [-delta, -1.0, 0]]))
+            if defined:
+                bend(P, (1, 2), 0.5)
+            else:
+                with pytest.raises(UndefinedBendAxis):
+                    bend(P, (1, 2), 0.5)
+
+    def test_zero_fan_diagonal(self):
+        # a folded square: edge 2 runs back along edge 1
+        P = build_polygon((1, 1, 1, 1), (0.0,), (0.0,))
+        assert np.allclose(P.side_lengths(), 1.0, rtol=0.0, atol=1e-15)
+        assert diagonal_lengths(P, caterpillar_triangulation(4))[0] == 0.0
+        with pytest.raises(UndefinedBendAxis):
+            build_polygon((1, 1, 1, 1), (0.0,), (0.3,))
+
+
+class TestOverflow:
+    """Lengths whose squares overflow float64 are refused by name, with no
+    numpy warning on the way."""
+
+    def test_unclosed_polygon_of_huge_edges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="overflows float64"):
+                PolygonConfig([[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]])
+
+    @pytest.mark.parametrize("r, d", [([1e200] * 3, []), ([1e308] * 4, [1.4e308])])
+    def test_build(self, r, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="overflows float64"):
+                build_polygon(r, d, [0.5] * len(d))
+
+    def test_largest_accepted_square(self):
+        # 3 (4 c)^2 is just finite: every run sum, the full one included,
+        # has a finite squared norm, and bending stays finite
+        c = 0.99 * np.sqrt(np.finfo(float).max / 3) / 4
+        square = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = PolygonConfig(c * square)
+            assert diagonal_lengths(P, caterpillar_triangulation(4))[0] == pytest.approx(
+                np.sqrt(2) * c)
+            assert diagonal_lengths(P, Triangulation(4, ((1, 2, 3, 4),)))[0] == 0.0
+            assert np.isfinite(bend(P, (1, 2), 0.3).edges).all()
+            with pytest.raises(InvariantViolation, match="overflows float64"):
+                PolygonConfig(1.02 * c * square)
+
+
+@pytest.mark.parametrize("diagonal", [[1.5, 2.7], ["1", "2"], [np.nan, 2], [np.inf], "12"])
+def test_diagonal_indices_must_be_integers(diagonal):
+    P = build_polygon((1, 1, 1, 1), (np.sqrt(2),), (0.0,))
+    with pytest.raises(InvariantViolation, match="expected integer"):
+        bend(P, diagonal, 0.3)
+    with pytest.raises(InvariantViolation, match="expected integer"):
+        Triangulation(4, (diagonal,))
+
+
+def test_integral_diagonal_indices_read_as_ints():
+    P = build_polygon((1, 1, 1, 1), (np.sqrt(2),), (0.0,))
+    expected = bend(P, (1, 2), 0.3).edges
+    for diagonal in ([1.0, 2.0], [np.int64(1), np.int64(2)], np.array([1, 2])):
+        assert (bend(P, diagonal, 0.3).edges == expected).all()
+    assert Triangulation(5, [(2.0, np.int64(3))]).diagonals == ((2, 3),)
