@@ -211,8 +211,10 @@ def enumerate_trivalent_trees(n: int):
     """All trivalent trees on n labeled leaves (counts 1, 3, 15, 105, ...).
 
     Built by inserting leaf k into every edge of every tree on k-1 leaves,
-    which produces each labeled tree exactly once. n must be an integer of
-    at least 3 whose tree count (2n - 5)!! is at most MAX_TREE_COUNT.
+    which produces each labeled tree exactly once. The smaller trees are
+    edge tuples in normalized order; only the n-leaf trees become TreeGraph.
+    n must be an integer of at least 3 whose tree count (2n - 5)!! is at
+    most MAX_TREE_COUNT.
     """
     (n,) = _integers((n,), "leaf count")
     if n < 3:
@@ -222,20 +224,12 @@ def enumerate_trivalent_trees(n: int):
         count *= 2 * k - 5
         if count > MAX_TREE_COUNT:
             raise InvariantViolation(f"{n} leaves give more than {MAX_TREE_COUNT} trees")
-    base = TreeGraph(3, ((1, -1), (2, -1), (3, -1)), {1: 1, 2: 2, 3: 3})
-    trees = [base]
+    levels = [((-1, 1), (-1, 2), (-1, 3))]
     for k in range(4, n + 1):
-        grown = []
-        for t in trees:
-            fresh = min(v for e in t.edges for v in e) - 1
-            for e in t.edges:
-                edges = [x for x in t.edges if x != e]
-                edges += [(e[0], fresh), (fresh, e[1]), (fresh, k)]
-                labels = dict(t.leaf_labels)
-                labels[k] = k
-                grown.append(TreeGraph(k, tuple(edges), labels))
-        trees = grown
-    return trees
+        fresh = 2 - k       # internal vertices so far are -1..3-k
+        levels = [tuple(x for x in edges if x != e) + ((fresh, e[0]), (fresh, e[1]), (fresh, k))
+                  for edges in levels for e in edges]
+    return [TreeGraph(n, edges, {v: v for v in range(1, n + 1)}) for edges in levels]
 
 
 def cg_admissible(i: int, j: int, k: int) -> bool:
@@ -286,16 +280,35 @@ def _integers(values, what: str) -> tuple:
     return ints
 
 
+# (values, result) of the last tuple _weights accepted. A tuple cannot
+# change, and the slot keeps it alive so its identity is not reused; the
+# slot is replaced whole, so one read sees a matching pair.
+_last_weights = (None, None)
+
+
 def _weights(values, what: str) -> tuple:
     """values as a tuple of ints in 0..MAX_WEIGHT: each entry equal to such
     an int (2, 2.0, np.int64(2), True) reads as that int, in one table
     lookup per entry. Any other entry raises InvariantViolation, with the
-    message of _integers when it is not an integer."""
+    message of _integers when it is not an integer.
+
+    The last accepted tuple (type exactly tuple) is remembered by identity,
+    so a run of calls on one weight tuple reads it once. Lists, arrays and
+    other iterables are read on every call, and a refusal is never kept.
+    """
+    global _last_weights
+    last, result = _last_weights
+    if values is last:
+        return result
     vals = tuple(values)
     try:
-        return tuple(map(_WEIGHT_OF.__getitem__, vals))
+        result = tuple(map(_WEIGHT_OF.__getitem__, vals))
     except (KeyError, TypeError):       # TypeError: an unhashable entry
         pass
+    else:
+        if type(values) is tuple:
+            _last_weights = (values, result)
+        return result
     _integers(vals, what)
     raise InvariantViolation(f"{what} must be in 0..{MAX_WEIGHT}")
 
@@ -375,7 +388,9 @@ def tree_polytope_count(tree: TreeGraph, leaf_weights) -> int:
     Computed by a bottom-up count of admissible subtree weightings per edge
     value, rooted at leaf 1: one pass of _fuse over the tree's fusion plan,
     with each leaf entering as its weight (the unit count vector's int).
-    Leaf weights must lie in 0..MAX_WEIGHT.
+    Leaf weights must lie in 0..MAX_WEIGHT; a run of calls on one weight
+    tuple reads it once (the memo of _weights), so counting one tuple over
+    every tree validates it once.
     """
     plan = tree.fusion_plan
     r = _weights(leaf_weights, "leaf weights")

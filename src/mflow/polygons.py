@@ -10,7 +10,9 @@ through invariants.
 
 One rule decides that a length is zero: it is at most CLOSURE_TOL times
 the polygon's longest edge. It applies to closure, to bend axes, and to the
-fan's triangle slack and opening angles.
+fan's triangle slack and opening angles. Every length is read from its
+vector scaled by a power of two (_length, _row_lengths), so no square
+underflows.
 """
 
 from __future__ import annotations
@@ -36,6 +38,27 @@ __all__ = [
 CLOSURE_TOL = 1e-9    # zero length, relative: scaled by the longest edge
 
 
+def _length(v) -> float:
+    """Euclidean length of the vector v by np.linalg.norm's formula
+    sqrt(v . v), read from v scaled by the power of two that brings its
+    largest entry into [0.5, 1) and scaled back. The scaling is exact, so
+    the bits are the plain formula's wherever that one neither underflows
+    nor overflows. Scaled, no square overflows, and only the squares of
+    entries below 2^-511 times the largest underflow, which are below the
+    rounding of the sum."""
+    e = math.frexp(np.abs(v).max())[1]
+    u = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(u.dot(u)), e)
+
+
+def _row_lengths(E) -> np.ndarray:
+    """_length of each row of E, by np.linalg.norm's row formula, the
+    square root of the sum of squares."""
+    e = np.frexp(np.abs(E).max(axis=1))[1]
+    U = np.ldexp(E, -e[:, None])
+    return np.ldexp(np.sqrt((U * U).sum(axis=1)), e)
+
+
 @dataclasses.dataclass(frozen=True)
 class PolygonConfig:
     """Closed polygon given by its n edge vectors in R^3, of length 0 or more.
@@ -48,18 +71,9 @@ class PolygonConfig:
     edges: np.ndarray
 
     def __post_init__(self):
-        E = np.asarray(self.edges, dtype=float)
-        if E.ndim != 2 or E.shape[1] != 3 or E.shape[0] < 3:
-            raise InvariantViolation(f"expected an (n, 3) edge array, n >= 3, got {E.shape}")
-        big = float(np.abs(E).max())        # NaN or inf when an entry is
-        if not math.isfinite(big):
-            raise InvariantViolation("edges must be finite")
-        run = E.shape[0] * big              # bounds every run sum's coordinates
-        if not math.isfinite(3.0 * run * run):
-            raise InvariantViolation(
-                f"edge coordinate {big:.3e} overflows float64 in a squared run length")
+        E = _edge_array(self.edges)
         object.__setattr__(self, "edges", E)
-        closure = np.linalg.norm(E.sum(axis=0))
+        closure = _length(E.sum(axis=0))
         if closure > CLOSURE_TOL * self.side_lengths().max():
             raise InvariantViolation(f"polygon does not close: |sum e_i| = {closure:.3e}")
 
@@ -68,7 +82,24 @@ class PolygonConfig:
         return self.edges.shape[0]
 
     def side_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.edges, axis=1)
+        return _row_lengths(self.edges)
+
+
+def _edge_array(edges) -> np.ndarray:
+    """edges as an (n, 3) float array, n >= 3, finite, with 3 (n max|e_ij|)^2
+    finite, so no run sum or rotation of runs overflows; else
+    InvariantViolation."""
+    E = np.asarray(edges, dtype=float)
+    if E.ndim != 2 or E.shape[1] != 3 or E.shape[0] < 3:
+        raise InvariantViolation(f"expected an (n, 3) edge array, n >= 3, got {E.shape}")
+    big = float(np.abs(E).max())        # NaN or inf when an entry is
+    if not math.isfinite(big):
+        raise InvariantViolation("edges must be finite")
+    run = E.shape[0] * big              # bounds every run sum's coordinates
+    if not math.isfinite(3.0 * run * run):
+        raise InvariantViolation(
+            f"edge coordinate {big:.3e} overflows float64 in a squared run length")
+    return E
 
 
 def _as_run(diagonal, n) -> tuple:
@@ -110,12 +141,15 @@ def build_polygon(r, d, angles) -> PolygonConfig:
     dihedral bending angles about each fan diagonal.
 
     The fan is laid flat in the xy-plane, and then each fan diagonal k
-    bends it by angles[k - 1]: bend of the tail run k+2..n, whose sum is
-    minus that diagonal, by -angles[k - 1]. So sides and diagonals are
-    exact to rounding. Each consecutive triple (previous diagonal, side,
-    next diagonal) must satisfy the triangle inequality up to the zero
-    length CLOSURE_TOL max(r), else TriangleInfeasible; a nonzero angle
-    about a zero diagonal raises UndefinedBendAxis.
+    bends it by angles[k - 1]: the rotation of bend (_bend) of the tail run
+    k+2..n, whose sum is minus that diagonal, by -angles[k - 1]. So sides
+    and diagonals are exact to rounding. The flat fan is checked by
+    PolygonConfig's edge rule before it bends, so no bend overflows, and one
+    PolygonConfig is built from the bent edges. Each consecutive triple
+    (previous diagonal, side, next diagonal) must satisfy the triangle
+    inequality up to the zero length CLOSURE_TOL max(r), else
+    TriangleInfeasible; a nonzero angle about a diagonal of length at most
+    CLOSURE_TOL max(r) raises UndefinedBendAxis.
     """
     r = np.asarray(r, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
@@ -150,11 +184,12 @@ def build_polygon(r, d, angles) -> PolygonConfig:
             phi += float(np.arccos(np.clip((a ** 2 + c ** 2 - b ** 2) / (2.0 * a * c), -1.0, 1.0)))
         verts.append(g[k] * np.array([np.cos(phi), np.sin(phi), 0.0]))
 
-    P = PolygonConfig(np.diff(np.vstack([*verts, np.zeros(3)]), axis=0))
+    E = _edge_array(np.diff(np.vstack([*verts, np.zeros(3)]), axis=0))
+    zero = CLOSURE_TOL * r.max()
     for k, t in enumerate(theta, start=1):
         if t != 0.0:
-            P = bend(P, range(k + 2, n + 1), -t)
-    return P
+            E = _bend(E, tuple(range(k + 2, n + 1)), -t, zero)
+    return PolygonConfig(E)
 
 
 def _rodrigues(unit_axis: np.ndarray, theta: float) -> np.ndarray:
@@ -170,7 +205,7 @@ def diagonal_lengths(P: PolygonConfig, T: Triangulation) -> np.ndarray:
     out = []
     for run in T.diagonals:
         idx = np.array(run) - 1
-        out.append(float(np.linalg.norm(P.edges[idx].sum(axis=0))))
+        out.append(_length(P.edges[idx].sum(axis=0)))
     return np.array(out)
 
 
@@ -183,21 +218,30 @@ def bend(P: PolygonConfig, diagonal, theta: float) -> PolygonConfig:
     of integer edge indices in 1..n (integral floats and numpy ints pass;
     anything else raises InvariantViolation). A run whose sum is zero
     (length at most CLOSURE_TOL times the longest edge) has no axis and
-    raises UndefinedBendAxis.
+    raises UndefinedBendAxis. Checks the run and angle, rotates through
+    _bend, and checks the result as one PolygonConfig.
     """
     run = _as_run(diagonal, P.n)
     theta = float(theta)
     if not np.isfinite(theta):
         raise InvariantViolation(f"bending angle must be finite, got {theta}")
-    edges = P.edges.copy()
+    # re-pin the closure: rotation fixes the run sum exactly up to rounding
+    return PolygonConfig(_bend(P.edges, run, theta, CLOSURE_TOL * P.side_lengths().max()))
+
+
+def _bend(E: np.ndarray, run: tuple, theta: float, zero: float) -> np.ndarray:
+    """A copy of the checked edge array E with the rows of run (a contiguous
+    tuple of 1-based indices) rotated by the finite angle theta about their
+    sum; a sum of length at most zero raises UndefinedBendAxis. The package's
+    one rotation of polygon edges."""
+    edges = E.copy()
     moved = edges[run[0] - 1:run[-1]]     # a view of the run's rows
     axis = moved.sum(axis=0)
-    nrm = np.linalg.norm(axis)
-    if nrm <= CLOSURE_TOL * P.side_lengths().max():
+    nrm = _length(axis)
+    if nrm <= zero:
         raise UndefinedBendAxis(f"diagonal {run} has zero length; no bending axis")
     moved[:] = moved @ _rodrigues(axis / nrm, theta).T
-    # re-pin the closure: rotation fixes the run sum exactly up to rounding
-    return PolygonConfig(edges)
+    return edges
 
 
 def measure_caterpillar(P: PolygonConfig):

@@ -147,17 +147,20 @@ def test_one_hermitian_part():
 
 
 def test_one_bending_implementation():
-    """polygons.bend is the package's one rotation of polygon edges:
-    build_polygon bends its flat fan through bend, so a call of
-    polygons._rodrigues from anywhere else in src/mflow fails here."""
+    """polygons._bend is the package's one rotation of polygon edges: bend
+    and build_polygon (which bends its flat fan) both rotate through it, so
+    a call of polygons._rodrigues from anywhere else in src/mflow fails
+    here."""
     src = pathlib.Path(mflow.__file__).parent
-    callers = []
+    callers = {"_rodrigues": [], "_bend": []}
     for path in sorted(src.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
-                if (isinstance(node, ast.Call)
-                        and ast.unparse(node.func).split(".")[-1] == "_rodrigues"):
-                    callers.append(f"{path.stem}.{func.name}")
-    assert callers == ["polygons.bend"]
+                if isinstance(node, ast.Call):
+                    name = ast.unparse(node.func).split(".")[-1]
+                    if name in callers:
+                        callers[name].append(f"{path.stem}.{func.name}")
+    assert callers["_rodrigues"] == ["polygons._bend"]
+    assert sorted(callers["_bend"]) == ["polygons.bend", "polygons.build_polygon"]

@@ -259,6 +259,27 @@ class TestTrees:
         assert len(enumerate_trivalent_trees(5)) == 15
         assert len(enumerate_trivalent_trees(6)) == 105
 
+    def test_enumerate_order_is_the_insertion_order(self):
+        # the construction that made a TreeGraph of every smaller tree too
+        def one_graph_per_level(n):
+            trees = [TreeGraph(3, ((1, -1), (2, -1), (3, -1)), {1: 1, 2: 2, 3: 3})]
+            for k in range(4, n + 1):
+                grown = []
+                for t in trees:
+                    fresh = min(v for e in t.edges for v in e) - 1
+                    for e in t.edges:
+                        edges = [x for x in t.edges if x != e]
+                        edges += [(e[0], fresh), (fresh, e[1]), (fresh, k)]
+                        grown.append(TreeGraph(k, tuple(edges), {**t.leaf_labels, k: k}))
+                trees = grown
+            return trees
+
+        for n in range(3, 9):
+            got = [(t.n_leaves, t.edges, list(t.leaf_labels.items()))
+                   for t in enumerate_trivalent_trees(n)]
+            assert got == [(t.n_leaves, t.edges, list(t.leaf_labels.items()))
+                           for t in one_graph_per_level(n)]
+
     def test_enumerate_reads_the_leaf_count_as_an_integer(self):
         assert len(enumerate_trivalent_trees(6.0)) == len(enumerate_trivalent_trees(np.int64(6))) == 105
         for bad in [3.5, float("nan"), float("inf"), "7", None]:
@@ -597,3 +618,74 @@ def test_int_weights_never_reach_the_integer_reader(monkeypatch):
     with pytest.raises(InvariantViolation):
         cg_multiplicity((1, 1.5))
     assert len(calls) == 2
+
+
+class TestWeightMemo:
+    """branching._weights keeps the last weight tuple it accepted, by
+    identity, so a run of calls on one tuple reads it once; anything else
+    is read on every call."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        seen = []
+
+        class Counted(dict):
+            def __getitem__(self, key):
+                seen.append(key)
+                return dict.__getitem__(self, key)
+
+        monkeypatch.setattr(branching, "_WEIGHT_OF", Counted(branching._WEIGHT_OF))
+        monkeypatch.setattr(branching, "_last_weights", (None, None))
+        return seen
+
+    def test_one_tuple_over_every_tree_is_read_once(self, lookups):
+        r = (1, 2, 1, 2, 1, 1)
+        counts = [tree_polytope_count(t, r) for t in enumerate_trivalent_trees(6)]
+        assert len(counts) == 105
+        assert counts == [cg_multiplicity(r)] * 105 and counts[0] > 0
+        assert lookups == list(r)
+        # an equal tuple that is another object is read again
+        assert cg_multiplicity(tuple(list(r))) == counts[0]
+        assert len(lookups) == 2 * len(r)
+
+    @pytest.mark.parametrize("bad, message", [(1001, r"must be in 0\.\.1000$"),
+                                              (2.5, "integer entries"),
+                                              (float("nan"), "integer entries")],
+                             ids=["above-max", "fraction", "nan"])
+    def test_mutated_list_is_read_again(self, bad, message):
+        r = [2, 2, 1, 1]
+        for _ in range(2):
+            r[0] = 2
+            assert cg_multiplicity(r) == 2 and tree_polytope_count(_FOUR_LEAVES, r) == 2
+            r[0] = bad
+            with pytest.raises(InvariantViolation, match=message):
+                cg_multiplicity(r)
+            with pytest.raises(InvariantViolation, match=message):
+                tree_polytope_count(_FOUR_LEAVES, r)
+
+    @pytest.mark.parametrize("bad, message", [((2, 2, 1, 1001), r"must be in 0\.\.1000$"),
+                                              ((2, 2, 1, 1.5), "integer entries")],
+                             ids=["above-max", "fraction"])
+    def test_refused_tuple_is_refused_on_every_call(self, bad, message):
+        for _ in range(3):
+            with pytest.raises(InvariantViolation, match=message):
+                cg_multiplicity(bad)
+            with pytest.raises(InvariantViolation, match=message):
+                tree_polytope_count(_FOUR_LEAVES, bad)
+            assert cg_multiplicity((2, 2, 1, 1)) == 2
+
+    def test_memo_holds_one_entry(self, lookups):
+        keys = [(k, k) for k in range(1000)]
+        assert [cg_multiplicity(r) for r in keys] == [1] * 1000
+        assert branching._last_weights == (keys[-1], keys[-1])
+        assert branching._last_weights[0] is keys[-1]
+        assert len(lookups) == 2000
+        cg_multiplicity(list(keys[0]))          # a list is read, and not kept
+        assert branching._last_weights[0] is keys[-1]
+
+    def test_entries_equal_to_an_int_read_as_that_int(self, lookups):
+        r = (2.0, np.int64(2), True, 2 + 0j)
+        for _ in range(2):
+            w = branching._weights(r, "w")
+            assert w == (2, 2, 1, 2) and all(type(v) is int for v in w)
+        assert len(lookups) == 4

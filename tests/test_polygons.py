@@ -204,7 +204,9 @@ class TestZeroLengthRule:
     longest edge, for closure, bend axes and the fan alike, so builds and
     bends do not depend on the scale of the polygon."""
 
-    @pytest.mark.parametrize("j", range(-40, 41, 5))
+    # below 2^-500 or so, squared lengths would underflow without the
+    # power-of-two prescaling of every norm
+    @pytest.mark.parametrize("j", [*range(-900, -40, 20), *range(-40, 41, 5)])
     def test_scaled_by_a_power_of_two_bit_for_bit(self, j):
         P, r, d, angles = _hexagon()
         s = 2.0 ** j
@@ -227,6 +229,16 @@ class TestZeroLengthRule:
             build_polygon([s, s, 3 * s], [], [])
         with pytest.raises(UndefinedBendAxis):
             bend(Q, range(1, 7), 0.7)     # the full run sums to rounding
+
+    def test_lengths_whose_squares_underflow(self):
+        # squared lengths below the smallest double read 0 when a norm is
+        # not prescaled: the bend axis had no length, and the sides read 0
+        P = build_polygon([1e-170] * 4, [1.41e-170], [0.5])
+        r, d = measure_caterpillar(P)
+        assert np.allclose(r, 1e-170, rtol=1e-15, atol=0.0)
+        assert np.allclose(d, 1.41e-170, rtol=1e-15, atol=0.0)
+        Q = bend(P, (1, 2), 0.7)
+        assert np.allclose(Q.side_lengths(), 1e-170, rtol=1e-15, atol=0.0)
 
     def test_tiny_infeasible_triangle_refused(self):
         # an absolute slack of 1e-12 once accepted it, returning sides
