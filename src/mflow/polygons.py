@@ -121,12 +121,16 @@ class Triangulation:
     def __post_init__(self):
         runs = tuple(_as_run(d, self.n) for d in self.diagonals)
         object.__setattr__(self, "diagonals", runs)
-        for a in runs:
-            for b in runs:
-                sa, sb = set(a), set(b)
-                if not (sa <= sb or sb <= sa or not (sa & sb)):
-                    raise InvariantViolation(
-                        f"diagonals must be nested or disjoint: {a} vs {b}")
+        # in the order (first, -last), the runs still open form a nested
+        # chain, and each run must fit inside the innermost one it meets
+        chain = []
+        for b in sorted(runs, key=lambda run: (run[0], -run[-1])):
+            while chain and chain[-1][-1] < b[0]:
+                chain.pop()
+            if chain and chain[-1][-1] < b[-1]:
+                raise InvariantViolation(
+                    f"diagonals must be nested or disjoint: {chain[-1]} vs {b}")
+            chain.append(b)
 
 
 def caterpillar_triangulation(n: int) -> Triangulation:

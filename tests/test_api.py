@@ -125,24 +125,27 @@ def _conjugate_transpose_of(node):
     return None
 
 
+def _functions(directory):
+    """(module name, function node) for every function of directory/*.py."""
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, node
+
+
 def test_one_hermitian_part():
     """matrices._hermitian is the package's one symmetrization X + X*: a sum
     of an expression and its conjugate transpose anywhere else in src/mflow
     fails here (call _hermitian instead)."""
-    src = pathlib.Path(mflow.__file__).parent
     found = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for module, func in _functions(pathlib.Path(mflow.__file__).parent):
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
                 continue
-            for node in ast.walk(func):
-                if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
-                    continue
-                for a, b in ((node.left, node.right), (node.right, node.left)):
-                    base = _conjugate_transpose_of(b)
-                    if base is not None and ast.unparse(base) == ast.unparse(a):
-                        found.append(f"{path.stem}.{func.name}: {ast.unparse(node)}")
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                base = _conjugate_transpose_of(b)
+                if base is not None and ast.unparse(base) == ast.unparse(a):
+                    found.append(f"{module}.{func.name}: {ast.unparse(node)}")
     assert found == ["matrices._hermitian: H + H.conj().T"]
 
 
@@ -151,16 +154,34 @@ def test_one_bending_implementation():
     and build_polygon (which bends its flat fan) both rotate through it, so
     a call of polygons._rodrigues from anywhere else in src/mflow fails
     here."""
-    src = pathlib.Path(mflow.__file__).parent
     callers = {"_rodrigues": [], "_bend": []}
-    for path in sorted(src.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    name = ast.unparse(node.func).split(".")[-1]
-                    if name in callers:
-                        callers[name].append(f"{path.stem}.{func.name}")
+    for module, func in _functions(pathlib.Path(mflow.__file__).parent):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and _callee(node) in callers:
+                callers[_callee(node)].append(f"{module}.{func.name}")
     assert callers["_rodrigues"] == ["polygons._bend"]
     assert sorted(callers["_bend"]) == ["polygons.bend", "polygons.build_polygon"]
+
+
+def _callee(call):
+    return ast.unparse(call.func).split(".")[-1]
+
+
+def test_one_hostile_input_corpus():
+    """The CLI's exit codes 1 and 2 on hostile input are rows of CORPUS in
+    tests/test_hostile.py: a test that compares main(...), or a name bound
+    to it, with 1 or 2 fails here, but for a monkeypatched LAPACK failure
+    and main's parser state between calls, which are no hostile input."""
+    found = set()
+    for module, func in _functions(pathlib.Path(__file__).parent):
+        mains = [node for node in ast.walk(func)
+                 if isinstance(node, ast.Call) and _callee(node) == "main"]
+        names = {ast.unparse(node.targets[0]) for node in ast.walk(func)
+                 if isinstance(node, ast.Assign) and node.value in mains}
+        for node in ast.walk(func):
+            sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if (any(s in mains or ast.unparse(s) in names for s in sides)
+                    and any(isinstance(s, ast.Constant) and s.value in (1, 2) for s in sides)):
+                found.add(f"{module}.{func.name}")
+    assert sorted(found) == ["test_cli.test_lapack_failure_exit_1",
+                             "test_cli.test_successive_calls_share_no_state"]

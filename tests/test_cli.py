@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -95,13 +94,6 @@ class TestSerialize:
         obj = {"r": [1, 1.5, 1, 1.5], "d": [2], "bends": [{"diagonal": [1, 2], "theta": 1}]}
         assert serialize.scenario_from_json(obj) == ([1.0, 1.5, 1.0, 1.5], [2.0], [0.0],
                                                      [([1, 2], 1.0)])
-
-    def test_scenario_with_fractional_diagonal_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"r": [1, 1, 1, 1], "d": [1.4], "angles": [0.3],
-                                    "bends": [{"diagonal": [1.5, 2.7], "theta": 0.5}]}))
-        assert main(["polygon", "--scenario", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("ParseError")
 
     def test_pattern_round_trip(self, tmp_path):
         P = gt_pattern(np.diag([3.0, 2.0, 1.0]))
@@ -425,144 +417,6 @@ class TestCli:
         diag = float(lines[1].split()[1])
         assert abs(diag - np.sqrt(2)) < 1e-9
 
-    @pytest.mark.parametrize("text", [
-        "[1, 1, 1, 1]",
-        '{"r": [1, 1, 1, 1], "d": [' + "1" * 5000 + "]}",
-        '{"d": [1.5]}',
-        '{"r": [1, 1, 1, 1], "d": [1.4], "angles": [0], "bends": [{"diagonal": [1, 2]}]}',
-    ], ids=["list", "5000-digit-integer", "no-sides", "bend-without-theta"])
-    def test_bad_scenario_exit_2(self, text, tmp_path, capsys):
-        path = tmp_path / "sc.json"
-        path.write_text(text)
-        assert main(["polygon", "--scenario", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("ParseError")
-
-    def test_missing_file_exit_2(self, capsys):
-        assert main(["gt-pattern", "--in", "/nonexistent/A.json"]) == 2
-
-    def test_malformed_json_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["gt-pattern", "--in", str(path)]) == 2
-        assert "ParseError" in capsys.readouterr().err
-
-    def test_nan_matrix_entry_exit_1(self, tmp_path, capsys):
-        path = tmp_path / "B.json"
-        path.write_text(json.dumps({"n": 1, "entries": [[[float("nan"), 0]]]}))
-        assert main(["flow", "--in", str(path)]) == 1
-        assert "InvariantViolation" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("scale", [1e200, 1e62])
-    def test_overflowing_determinant_exit_1(self, tmp_path, capsys, scale):
-        src = str(tmp_path / "B.json")
-        serialize.save_matrix(src, np.diag(np.full(5, scale)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["flow", "--in", src]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("InvariantViolation")
-        assert captured.out == ""
-
-    def test_overflowing_gradient_exit_1(self, tmp_path, capsys):
-        # det = 1e200 is finite, but each adjugate entry is 1e160, so
-        # |adj|^2 overflows: the field must be refused, not read as 0
-        src = str(tmp_path / "B.json")
-        serialize.save_matrix(src, np.diag(np.full(5, 1e40)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["flow", "--in", src]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("InvariantViolation")
-        assert captured.out == ""
-
-    def test_overflowing_square_exit_1(self, tmp_path, capsys):
-        # finite entries, but sigma_max^2 = 1e400: the contraction names the
-        # overflow instead of failing on its own non-finite result
-        src = str(tmp_path / "B.json")
-        serialize.save_matrix(src, np.diag([1e200, 1e-200, 1.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["contract", "--in", src]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ("InvariantViolation: sigma_max^2 overflows float64; "
-                                "the contraction is undefined\n")
-        assert captured.out == ""
-
-    def test_start_of_large_phase_exit_1(self, tmp_path, capsys):
-        # det 1e-12 + 1e-10i is 89 degrees off the real axis
-        src = str(tmp_path / "B.json")
-        serialize.save_matrix(src, np.diag([1e-4 * (1 + 100j), 1e-4, 1e-4]))
-        assert main(["flow", "--in", src]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("InvariantViolation: flow start needs real positive")
-        assert captured.out == ""
-
-    def test_domain_error_exit_1_names_error(self, tmp_path, capsys):
-        src = str(tmp_path / "B.json")
-        serialize.save_matrix(src, np.diag([1.0, -1.0]))  # det < 0
-        assert main(["flow", "--in", src]) == 1
-        assert "InvariantViolation" in capsys.readouterr().err
-
-    def test_empty_matrix_exit_2(self, tmp_path, capsys):
-        src = tmp_path / "empty.json"
-        src.write_text('{"n": 0, "entries": []}')
-        assert main(["contract", "--in", str(src)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"ParseError: {src}: n must be >= 1, got 0\n"
-        assert captured.out == ""
-
-    def test_overflowing_polygon_exit_1(self, capsys):
-        # the side lengths are finite, their squares are not
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["polygon", "--r", "1e200,1e200,1e200"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ("InvariantViolation: edge coordinate 1.000e+200 overflows "
-                                "float64 in a squared run length\n")
-        assert captured.out == ""
-
-    def test_infeasible_polygon_exit_1(self, capsys):
-        assert main(["polygon", "--r", "1,1,1,1", "--d", "3", "--angles", "0"]) == 1
-        assert "TriangleInfeasible" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["--r", "1,1,1,1", "--d", "nan", "--angles", "0"],
-        ["--r", "nan,1,1,1", "--d", "1", "--angles", "0"],
-        ["--r", "1,1,1,1", "--d", "1.4", "--angles", "inf"],
-        ["--r", "1,1,1,inf", "--d", "1", "--angles", "0"],
-    ])
-    def test_non_finite_polygon_exit_1(self, argv, capsys):
-        assert main(["polygon", *argv]) == 1
-        assert capsys.readouterr().err.startswith("InvariantViolation")
-
-    def test_negative_samples_exit_2(self, tmp_path, capsys):
-        src = str(tmp_path / "B.json")
-        serialize.save_matrix(src, np.diag([2.0, 0.5]))
-        out = tmp_path / "t.csv"
-        assert main(["flow", "--in", src, "--samples", "-1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("ParseError")
-        assert not out.exists()
-
-    def test_samples_without_out_exit_2(self, tmp_path, capsys):
-        src = str(tmp_path / "B.json")
-        serialize.save_matrix(src, np.diag([2.0, 0.5]))
-        assert main(["flow", "--in", src, "--samples", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("ParseError")
-        assert captured.out == ""
-
-    def test_non_finite_spectrum_exit_1(self, tmp_path, capsys):
-        # finite entries, but the spectrum overflows float64
-        rng = np.random.default_rng(23)
-        Z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        A = 0.5 * (Z + Z.conj().T)
-        src = str(tmp_path / "A.json")
-        serialize.save_matrix(src, A / np.max(np.abs(A)) * 1.5e308)
-        assert main(["gt-pattern", "--in", src]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("InvariantViolation")
-        assert captured.out == ""
-
     def test_lapack_failure_exit_1(self, diag321, monkeypatch, capsys):
         def fail(M):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -570,55 +424,6 @@ class TestCli:
         monkeypatch.setattr(cli, "gt_pattern", fail)
         assert main(["gt-pattern", "--in", diag321]) == 1
         assert capsys.readouterr().err.startswith("LinAlgError")
-
-    @pytest.mark.parametrize("depth", [2000, 100000])
-    def test_deep_newick_exits_cleanly(self, depth, capsys):
-        deep = "(" * depth + "1,2" + ")" * depth
-        assert main(["tree-count", "--tree", deep, "--r", "1,1"]) == 1
-        assert "InvariantViolation" in capsys.readouterr().err
-        assert main(["tree-count", "--tree", deep + ")", "--r", "1,1"]) == 2
-        err = capsys.readouterr().err
-        assert "ParseError" in err
-        assert len(err.encode()) < 1024
-
-    @pytest.mark.parametrize("argv", [
-        ["tree-count", "--tree", "(1,2,3)", "--r", "1234567890,1234567890,2"],
-        ["branch", "--cg", "1234567890,1234567890,2"],
-        ["gt-count", "--weight", "100000,0,0"],
-        ["gt-count", "--weight", ",".join(str(v) for v in range(24, -1, -1))],
-        ["gt-count", "--weight", ",".join(["0"] * 500)],
-    ])
-    def test_huge_weight_refused_quickly(self, argv):
-        # in a child process capped at 2 GB of address space, so that without
-        # the bound the test fails with MemoryError instead of exhausting RAM
-        resource = pytest.importorskip("resource")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mflow.__file__)))
-        code = ("import sys, time; from mflow.cli import main; t = time.perf_counter(); "
-                "rc = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(rc)")
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, timeout=60, preexec_fn=cap_memory,
-                              env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 1, proc.stderr[-300:]
-        assert proc.stderr.startswith("InvariantViolation")
-        assert float(proc.stdout) < 1.0
-
-    @pytest.mark.parametrize("text", [
-        '{"n": 1, "entries": 5}',
-        '{"n": 1e400, "entries": [[[1, 0]]]}',
-        '{"n": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}',
-        '{"n": ' + "1" * 5000 + ', "entries": []}',
-        "[" * 100000,
-    ], ids=["entries-not-a-list", "n-overflows", "entry-overflows", "n-past-digit-limit",
-            "deep-nesting"])
-    def test_malformed_matrix_file_exit_2(self, text, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(text)
-        assert main(["contract", "--in", str(path)]) == 2
-        assert "ParseError" in capsys.readouterr().err
 
     def test_deep_caterpillar_tree_count(self, capsys):
         n = 1500
@@ -645,20 +450,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "m = 1" and "seed = 0" in out
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["flow", "--m", "2"], "--in"),
-        (["gt-pattern"], "--in"),
-        (["contract", "--out", "C.json"], "--in"),
-        (["gt-count"], "--weight"),
-        (["tree-count", "--r", "1,1"], "--tree"),
-        (["tree-count", "--tree", "(1,2)"], "--r"),
-        (["branch"], "--polygon-monoid"),
-    ])
-    def test_missing_input_exit_2(self, argv, flag, capsys):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("ParseError") and flag in err
-
     @pytest.mark.parametrize("kwargs", [
         {"m": float("nan")}, {"m": 2.5}, {"m": float("inf")}, {"m": "2"},
         {"seed": float("nan")}, {"seed": -float("inf")}, {"seed": 0.5},
@@ -672,10 +463,6 @@ class TestCli:
         assert cfg == Config(m=2, seed=3)
         assert type(cfg.m) is int and type(cfg.seed) is int
         assert cfg.describe() == "m = 2\nseed = 3"
-
-    def test_show_config_out_of_range_override_exit_1(self, capsys):
-        assert main(["--show-config", "flow", "--m", "0"]) == 1
-        assert capsys.readouterr().err.startswith("InvariantViolation")
 
     def test_successive_calls_share_no_state(self, tmp_path, capsys):
         src = str(tmp_path / "B.json")
@@ -720,18 +507,6 @@ class TestCli:
         monkeypatch.setenv(name, "nan")
         assert main(["--show-config"]) == 0
         assert capsys.readouterr().out.splitlines() == ["m = 1", "seed = 0"]
-
-    @pytest.mark.parametrize("env, argv, code, error", [
-        ({"MFLOW_SEED": "abc"}, ["verify"], 2, "ParseError"),
-        ({"MFLOW_M": "1.5"}, ["--show-config"], 2, "ParseError"),
-        ({}, ["flow", "--in", "missing.json", "--m", "0"], 1, "InvariantViolation"),
-        ({}, ["verify", "--seed", "-1"], 1, "InvariantViolation"),
-    ], ids=["env-seed-abc", "env-m-float", "flag-m-0", "flag-seed-negative"])
-    def test_config_errors_exit_codes(self, env, argv, code, error, monkeypatch, capsys):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert main(argv) == code
-        assert capsys.readouterr().err.startswith(error)
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0

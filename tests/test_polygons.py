@@ -102,6 +102,11 @@ class TestDiagonalLengths:
             Triangulation(6, ((1, 2, 3), (2, 3, 4)))
         with pytest.raises(InvariantViolation):
             Triangulation(6, ((1, 3),))  # not contiguous
+        # a duplicate, runs that touch but are disjoint, and a containing run
+        for runs in [((2, 3), (2, 3)), ((1, 2), (3, 4)), ((2, 3), (1, 2, 3, 4), (3,))]:
+            assert Triangulation(6, runs).diagonals == runs
+        with pytest.raises(InvariantViolation, match=r"disjoint: \(4, 5\) vs \(5, 6\)$"):
+            Triangulation(6, ((1, 2), (1, 2, 3), (4, 5), (5, 6)))
 
 
 class TestBend:

@@ -1,5 +1,6 @@
-"""README's configuration and constants tables match the code, so removing
-or adding a knob or a constant cannot leave them stale."""
+"""README's configuration, constants and refusals tables match the code and
+the hostile-input corpus, so removing or adding a knob, a constant or a
+refusal cannot leave them stale."""
 
 import ast
 import dataclasses
@@ -9,8 +10,9 @@ import re
 
 import pytest
 
-from mflow.cli import main
+from mflow.cli import _COMMANDS, main
 from mflow.config import Config, env_var_name, flag_name
+from test_hostile import CORPUS
 
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -49,3 +51,14 @@ def test_constants_table_matches_the_modules():
     assert rows
     for name, module, value, _ in rows:
         assert getattr(importlib.import_module(f"mflow.{module}"), name) == ast.literal_eval(value), name
+
+
+def test_refusals_table_matches_the_corpus():
+    corpus = {}
+    for row in CORPUS:
+        command = next((a for a in row.argv.split() if a in _COMMANDS), "--show-config")
+        key = (row.kind, str(row.code), row.err.split(":")[0] or "none")
+        corpus.setdefault(key, set()).add(command)
+    readme = {(kind, code, error): {c.strip(" `") for c in commands.split(",")}
+              for kind, commands, code, error in _table("| input kind ")}
+    assert readme == corpus
