@@ -244,8 +244,9 @@ def cg_admissible(i: int, j: int, k: int) -> bool:
 # cg_multiplicity accept. Both are dense in the weight values: a leaf of
 # weight v is a count vector of length v + 1, and the Clebsch-Gordan state a
 # dict over every reachable label, so time and memory grow polynomially with
-# the weights. At this bound a four-leaf count and its multiplicity take
-# under a second; a 10-digit weight would need gigabytes.
+# the weights. At this bound a four-leaf count takes 0.04 s and its
+# multiplicity 0.2 s, but a six-leaf count 40 s (2-core VM, Python 3.11);
+# a 10-digit weight would need gigabytes.
 MAX_WEIGHT = 1000
 
 # Every admissible weight, keyed by itself: a lookup accepts exactly the

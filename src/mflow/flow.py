@@ -111,9 +111,6 @@ class FlowTrajectory:
         """_diagnostics of the stacked points, once per trajectory."""
         return _diagnostics(np.stack(self.points))
 
-    def determinants(self) -> np.ndarray:
-        return self._dets_and_drift[0].copy()
-
     def momentum_drift(self) -> np.ndarray:
         """Max-norm deviation of the traceless right momentum from t = 0."""
         return self._dets_and_drift[1].copy()

@@ -1,12 +1,12 @@
 """Closed polygons in R^3, diagonal-length momenta, and bending flows.
 
-A polygon is stored by its edge vectors; diagonals are contiguous runs of
-edge indices, and bending rotates the edges of a run about the axis spanned
-by their sum. A polygon built from action-angle data (sides, fan diagonals,
-angles) is the flat fan moved by the bending flows of its fan diagonals.
-It is anchored (first edge along +x, fan plane = xy before bending), so
-construction is deterministic; the isometry quotient is only ever compared
-through invariants.
+A polygon is stored by its edge vectors; a diagonal, a contiguous run of
+edges, is the range of its 1-based edge indices, so a triangulation takes
+O(n) memory; bending rotates a run's edges about their sum. A polygon built
+from action-angle data (sides, fan diagonals, angles) is the flat fan moved
+by the bending flows of its fan diagonals. It is anchored (first edge along
++x, fan plane = xy before bending), so construction is deterministic; the
+isometry quotient is only ever compared through invariants.
 
 One rule decides that a length is zero: it is at most CLOSURE_TOL times
 the polygon's longest edge. It applies to closure, to bend axes, and to the
@@ -102,18 +102,25 @@ def _edge_array(edges) -> np.ndarray:
     return E
 
 
-def _as_run(diagonal, n) -> tuple:
-    idx = sorted(set(_integers(diagonal, "diagonal indices")))
-    if not idx or idx[0] < 1 or idx[-1] > n:
-        raise InvariantViolation(f"diagonal indices must lie in 1..{n}: {idx}")
-    if idx != list(range(idx[0], idx[-1] + 1)):
-        raise InvariantViolation(f"diagonal must be a contiguous run of edges: {idx}")
-    return tuple(idx)
+def _as_run(diagonal, n) -> range:
+    """diagonal as range(first, last + 1) in 1..n. A nonempty range of step
+    1 is a run by construction; any other iterable is read index by index."""
+    if not (isinstance(diagonal, range) and diagonal.step == 1 and diagonal):
+        diagonal = sorted(set(_integers(diagonal, "diagonal indices")))
+    if not diagonal:
+        raise InvariantViolation(f"diagonal indices must lie in 1..{n}: none given")
+    lo, hi = diagonal[0], diagonal[-1]
+    if lo < 1 or hi > n:
+        raise InvariantViolation(f"diagonal indices must lie in 1..{n}: {lo}..{hi}")
+    if len(diagonal) != hi - lo + 1:
+        raise InvariantViolation(
+            f"diagonal must be a contiguous run of edges: {len(diagonal)} indices in {lo}..{hi}")
+    return range(lo, hi + 1)
 
 
 @dataclasses.dataclass(frozen=True)
 class Triangulation:
-    """Diagonals of a model n-gon as contiguous edge runs, nested or disjoint."""
+    """Diagonals of a model n-gon as ranges of edge indices, nested or disjoint."""
 
     n: int
     diagonals: tuple
@@ -129,7 +136,8 @@ class Triangulation:
                 chain.pop()
             if chain and chain[-1][-1] < b[-1]:
                 raise InvariantViolation(
-                    f"diagonals must be nested or disjoint: {chain[-1]} vs {b}")
+                    f"diagonals must be nested or disjoint: "
+                    f"{chain[-1][0]}..{chain[-1][-1]} vs {b[0]}..{b[-1]}")
             chain.append(b)
 
 
@@ -137,7 +145,7 @@ def caterpillar_triangulation(n: int) -> Triangulation:
     """Fan triangulation from the base vertex: diagonals {1..2}, ..., {1..n-2}."""
     if n < 3:
         raise InvariantViolation("polygon needs at least 3 edges")
-    return Triangulation(n, tuple(tuple(range(1, k + 1)) for k in range(2, n - 1)))
+    return Triangulation(n, tuple(range(1, k + 1) for k in range(2, n - 1)))
 
 
 def build_polygon(r, d, angles) -> PolygonConfig:
@@ -192,7 +200,7 @@ def build_polygon(r, d, angles) -> PolygonConfig:
     zero = CLOSURE_TOL * r.max()
     for k, t in enumerate(theta, start=1):
         if t != 0.0:
-            E = _bend(E, tuple(range(k + 2, n + 1)), -t, zero)
+            E = _bend(E, range(k + 2, n + 1), -t, zero)
     return PolygonConfig(E)
 
 
@@ -206,11 +214,7 @@ def diagonal_lengths(P: PolygonConfig, T: Triangulation) -> np.ndarray:
     """|e_lo + ... + e_hi| for each diagonal run of the triangulation."""
     if T.n != P.n:
         raise InvariantViolation(f"triangulation is for {T.n}-gons, polygon has {P.n}")
-    out = []
-    for run in T.diagonals:
-        idx = np.array(run) - 1
-        out.append(_length(P.edges[idx].sum(axis=0)))
-    return np.array(out)
+    return np.array([_length(P.edges[run[0] - 1:run[-1]].sum(axis=0)) for run in T.diagonals])
 
 
 def bend(P: PolygonConfig, diagonal, theta: float) -> PolygonConfig:
@@ -233,17 +237,17 @@ def bend(P: PolygonConfig, diagonal, theta: float) -> PolygonConfig:
     return PolygonConfig(_bend(P.edges, run, theta, CLOSURE_TOL * P.side_lengths().max()))
 
 
-def _bend(E: np.ndarray, run: tuple, theta: float, zero: float) -> np.ndarray:
-    """A copy of the checked edge array E with the rows of run (a contiguous
-    tuple of 1-based indices) rotated by the finite angle theta about their
-    sum; a sum of length at most zero raises UndefinedBendAxis. The package's
-    one rotation of polygon edges."""
+def _bend(E: np.ndarray, run: range, theta: float, zero: float) -> np.ndarray:
+    """A copy of the checked edge array E with the rows of run (a range of
+    1-based indices) rotated by the finite angle theta about their sum; a
+    sum of length at most zero raises UndefinedBendAxis. The package's one
+    rotation of polygon edges."""
     edges = E.copy()
     moved = edges[run[0] - 1:run[-1]]     # a view of the run's rows
     axis = moved.sum(axis=0)
     nrm = _length(axis)
     if nrm <= zero:
-        raise UndefinedBendAxis(f"diagonal {run} has zero length; no bending axis")
+        raise UndefinedBendAxis(f"diagonal {run[0]}..{run[-1]} has zero length; no bending axis")
     moved[:] = moved @ _rodrigues(axis / nrm, theta).T
     return edges
 

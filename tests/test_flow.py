@@ -202,16 +202,16 @@ class TestIntegrateFlow:
             base = traceless(mats[0].conj().T @ mats[0])
             drift = [np.max(np.abs(traceless(M.conj().T @ M) - base)) for M in mats]
             dets = np.array([np.linalg.det(M) for M in mats])
-            assert traj.momentum_drift().shape == traj.determinants().shape == (len(mats),)
+            traj_dets = traj._dets_and_drift[0]     # what law_residuals reads
+            assert traj.momentum_drift().shape == traj_dets.shape == (len(mats),)
             scale = np.max(np.abs(mats[0].conj().T @ mats[0]))
             assert np.max(np.abs(traj.momentum_drift() - drift)) <= 1e-14 * scale
-            assert np.all(np.abs(traj.determinants() - dets) <= 1e-14 * np.abs(dets))
-            # one pass serves both, and a caller's edit of a result stays its own
-            assert np.array_equal(traj.determinants(), np.linalg.det(np.stack(mats)))
-            traj.determinants()[:] = 0.0
+            assert np.all(np.abs(traj_dets - dets) <= 1e-14 * np.abs(dets))
+            # one pass serves both, and a caller's edit of the drift stays its own
+            assert np.array_equal(traj_dets, np.linalg.det(np.stack(mats)))
             traj.momentum_drift()[:] = 1.0
             law = traj.law_residuals()
-            assert traj.determinants().all() and not traj.momentum_drift()[0]
+            assert not traj.momentum_drift()[0]
             assert np.array_equal(law, traj.law_residuals())
 
     def test_terminal_is_closed_form_of_last_sample(self):

@@ -45,8 +45,15 @@ def _matrix(M) -> str:
 _NEWICK = {depth: "(" * depth + "1,2" + ")" * depth for depth in (2000, 100000)}
 _X = np.random.default_rng(23).standard_normal((2, 12, 12))
 _A = 0.5 * (_X[0] + 1j * _X[1] + (_X[0] + 1j * _X[1]).conj().T)    # its spectrum overflows
-_REGULAR = {"r": [1] * 800, "angles": [0] * 797,     # the regular 800-gon, flat
-            "d": [math.sin(k * math.pi / 800) / math.sin(math.pi / 800) for k in range(2, 799)]}
+
+
+def _regular(n) -> str:
+    """Scenario of the flat regular n-gon of unit sides."""
+    return json.dumps({"r": [1] * n, "angles": [0] * (n - 3),
+                       "d": [math.sin(k * math.pi / n) / math.sin(math.pi / n)
+                             for k in range(2, n - 1)]})
+
+
 _NUMBER, _SHAPE = "number out of range or fractional", "JSON of the wrong shape"
 _OVERFLOW, _NONFINITE, _PHASE = "float64 overflow", "non-finite number", "det not real positive"
 _CONFIG, _MISSING, _DEEP = "configuration value", "missing input flag", "deep nesting"
@@ -63,6 +70,11 @@ CORPUS = [
         ("no-sides", _SHAPE, '{"d": [1.5]}'),
         ("bend-without-theta", _SHAPE,
          '{"r": [1, 1, 1, 1], "d": [1.4], "angles": [0], "bends": [{"diagonal": [1, 2]}]}')]),
+    # every refusal names a run by its ends, not by its 20 000 indices
+    Row("bend-of-20000-indices", "polygon --scenario sc.json", 1, "InvariantViolation: diagonal "
+        "indices must lie in 1..4: 1..20000\n", "diagonal outside the polygon",
+        {"sc.json": json.dumps({"r": [1, 1, 1, 1], "d": [1.4], "angles": [0],
+                                "bends": [{"diagonal": list(range(1, 20001)), "theta": 0.5}]})}),
     Row("missing-file", _NO_FILE, 2, "FileNotFoundError", "missing file"),
     Row("malformed-json", "gt-pattern --in bad.json", 2, "ParseError", "malformed JSON",
         {"bad.json": "{not json"}),
@@ -152,9 +164,13 @@ CORPUS = [
     Row("module-missing-file", _NO_FILE, 2, "FileNotFoundError", "missing file", python=_MODULE),
     Row("module-infeasible-polygon", _POLYGON, 1, "TriangleInfeasible", "infeasible triangle",
         python=_MODULE),
-    # the caterpillar triangulation of 800 sides has about 320 000 run indices
+    # the fan diagonals of n sides sum about n^2 / 2 edge rows, each diagonal
+    # one slice of the edge array: 318 800 rows at 800 sides and 71 982 000
+    # at 12 000, where the triangulation is 11 997 ranges
     Row("polygon-800-sides", "polygon --scenario sc.json", 0, "", "800 sides",
-        {"sc.json": json.dumps(_REGULAR)}, seconds=2.0),
+        {"sc.json": _regular(800)}, seconds=2.0),
+    Row("polygon-12000-sides", "polygon --scenario sc.json", 0, "", "12 000 sides",
+        {"sc.json": _regular(12000)}, python=_TIMED, seconds=5.0),
 ]
 
 

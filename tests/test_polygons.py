@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,6 +98,18 @@ class TestDiagonalLengths:
         Q = PolygonConfig(P.edges @ R.T)
         assert np.max(np.abs(diagonal_lengths(P, T) - diagonal_lengths(Q, T))) < 1e-12
 
+    def test_caterpillar_triangulation_takes_linear_memory(self):
+        # each diagonal is a range, so 1 997 runs hold no list of their indices
+        tracemalloc.start()
+        try:
+            T = caterpillar_triangulation(2000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        assert all(type(run) is range for run in T.diagonals)
+        assert T.diagonals[0] == range(1, 3) and T.diagonals[-1] == range(1, 1999)
+
     def test_nesting_validation(self):
         with pytest.raises(InvariantViolation):
             Triangulation(6, ((1, 2, 3), (2, 3, 4)))
@@ -104,9 +117,18 @@ class TestDiagonalLengths:
             Triangulation(6, ((1, 3),))  # not contiguous
         # a duplicate, runs that touch but are disjoint, and a containing run
         for runs in [((2, 3), (2, 3)), ((1, 2), (3, 4)), ((2, 3), (1, 2, 3, 4), (3,))]:
-            assert Triangulation(6, runs).diagonals == runs
-        with pytest.raises(InvariantViolation, match=r"disjoint: \(4, 5\) vs \(5, 6\)$"):
+            assert Triangulation(6, runs).diagonals == tuple(range(r[0], r[-1] + 1) for r in runs)
+        with pytest.raises(InvariantViolation, match=r"disjoint: 4\.\.5 vs 5\.\.6$"):
             Triangulation(6, ((1, 2), (1, 2, 3), (4, 5), (5, 6)))
+        # a range of step 1 is taken as it is; any other range is read index
+        # by index, so a gap or an empty range is refused
+        assert Triangulation(6, (range(2, 6), range(3, 4))).diagonals == (range(2, 6), range(3, 4))
+        with pytest.raises(InvariantViolation, match=r"contiguous run of edges: 2 indices in 1\.\.3$"):
+            Triangulation(6, (range(1, 5, 2),))
+        with pytest.raises(InvariantViolation, match=r"must lie in 1\.\.6: none given$"):
+            Triangulation(6, (range(3, 3),))
+        with pytest.raises(InvariantViolation, match=r"must lie in 1\.\.6: 5\.\.7$"):
+            Triangulation(6, (range(5, 8),))
 
 
 class TestBend:
@@ -165,7 +187,7 @@ class TestBend:
     def test_zero_axis_rejected(self):
         rng = np.random.default_rng(197)
         P = random_closed_polygon(5, rng)
-        with pytest.raises(UndefinedBendAxis):
+        with pytest.raises(UndefinedBendAxis, match=r"^diagonal 1\.\.5 has zero length"):
             bend(P, (1, 2, 3, 4, 5), 0.3)  # full run sums to ~0
 
 
@@ -337,4 +359,4 @@ def test_integral_diagonal_indices_read_as_ints():
     expected = bend(P, (1, 2), 0.3).edges
     for diagonal in ([1.0, 2.0], [np.int64(1), np.int64(2)], np.array([1, 2])):
         assert (bend(P, diagonal, 0.3).edges == expected).all()
-    assert Triangulation(5, [(2.0, np.int64(3))]).diagonals == ((2, 3),)
+    assert Triangulation(5, [(2.0, np.int64(3))]).diagonals == (range(2, 4),)
